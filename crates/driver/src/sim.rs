@@ -28,11 +28,11 @@ use rand::{Rng, SeedableRng};
 use seve_core::consistency::ConsistencyOracle;
 use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode, WireSize};
 use seve_core::metrics::ServerMetrics;
-use seve_net::event::{EventQueue, EventQueueKind};
+use seve_net::event::{EventQueue, EventQueueKind, Run};
 use seve_net::link::Link;
 use seve_net::stats::Summary;
 use seve_net::time::{SimDuration, SimTime};
-use seve_world::ids::ClientId;
+use seve_world::ids::{ClientId, QueuePos};
 use seve_world::worlds::Workload;
 use seve_world::GameWorld;
 use std::sync::Arc;
@@ -157,6 +157,12 @@ pub struct RunResult {
     /// Supervision-layer counters (retransmits, acks, reconnects, reaps).
     /// All coping counters are exactly zero on a fault-free run.
     pub session: SessionStats,
+    /// Event-queue pops, a coalesced wake run counted once: the host-side
+    /// work of the event loop.
+    pub events_popped: u64,
+    /// The smallest queue position whose evaluation *inputs* diverged
+    /// across replicas — the root cause of any outcome violations.
+    pub first_input_mismatch: Option<QueuePos>,
 }
 
 impl RunResult {
@@ -212,6 +218,20 @@ enum Ev<U, D> {
     Reap {
         client: usize,
     },
+}
+
+/// Run identity for [`EventQueue::schedule_run`]: two wakes of the same
+/// node are equal, so back-to-back wakes of one node coalesce into a run.
+/// Every other event is a distinct occurrence and equals nothing — a
+/// partial equivalence, which is all `PartialEq` promises.
+impl<U, D> PartialEq for Ev<U, D> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Ev::WakeServer, Ev::WakeServer) => true,
+            (Ev::WakeClient { client: a }, Ev::WakeClient { client: b }) => a == b,
+            _ => false,
+        }
+    }
 }
 
 /// Schedule one message at each faulted arrival time. The single-arrival
@@ -439,7 +459,72 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
             }};
         }
 
-        while let Some((now, ev)) = queue.pop() {
+        // Drain a node's inbox on behalf of `$members` wake events popped
+        // together. Each member is handled as if popped alone: one that
+        // finds the node free serves one message (a zero-cost job leaves it
+        // free for the next member); once the node is busy every remaining
+        // member would reschedule to `free_at` back to back, and once the
+        // inbox is empty every remaining member would drop — so the rest go
+        // as one block. Wakes are always scheduled merging, which is what
+        // lets a crowd of them collapse into one run (DESIGN.md §17).
+        macro_rules! serve_server {
+            ($now:expr, $members:expr) => {{
+                let now: SimTime = $now;
+                let mut left: u32 = $members;
+                while left > 0 && !server_inbox.is_empty() {
+                    if server_mach.is_busy(now) {
+                        queue.schedule_run(server_mach.free_at(), Ev::WakeServer, left);
+                        break;
+                    }
+                    left -= 1;
+                    let (client, msg) = server_inbox.pop_front().expect("checked non-empty");
+                    down_out.clear();
+                    let cost = server.deliver(now, ClientId(client as u16), msg, &mut down_out);
+                    let done = server_mach.run(now, cost);
+                    for (dest, m) in down_out.drain(..) {
+                        send_down!(dest.index(), m, done);
+                    }
+                    if !server_inbox.is_empty() {
+                        queue.schedule_run(done, Ev::WakeServer, 1);
+                    }
+                }
+            }};
+        }
+        macro_rules! serve_client {
+            ($client:expr, $now:expr, $members:expr) => {{
+                let client: usize = $client;
+                let now: SimTime = $now;
+                let mut left: u32 = $members;
+                while left > 0 && !client_inbox[client].is_empty() {
+                    if client_mach[client].is_busy(now) {
+                        let free_at = client_mach[client].free_at();
+                        queue.schedule_run(free_at, Ev::WakeClient { client }, left);
+                        break;
+                    }
+                    left -= 1;
+                    let msg = client_inbox[client].pop_front().expect("checked non-empty");
+                    up_out.clear();
+                    let cost = clients[client].deliver(now, msg, &mut up_out);
+                    let done = client_mach[client].run(now, cost);
+                    for m in up_out.drain(..) {
+                        send_up!(client, m, done);
+                    }
+                    if !client_inbox[client].is_empty() {
+                        queue.schedule_run(done, Ev::WakeClient { client }, 1);
+                    }
+                }
+            }};
+        }
+
+        let mut events_popped = 0u64;
+        while let Some(Run {
+            at: now,
+            event: ev,
+            count: members,
+            ..
+        }) = queue.pop_run()
+        {
+            events_popped += 1;
             end_time = now;
             match ev {
                 Ev::Move { client } => {
@@ -495,41 +580,11 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                         // A reaped lane swallows late traffic.
                         continue;
                     }
+                    // An arrival serves its inbox exactly like a lone wake.
                     server_inbox.push_back((client, msg));
-                    if server_mach.is_busy(now) {
-                        queue.schedule(server_mach.free_at(), Ev::WakeServer);
-                        continue;
-                    }
-                    let (client, msg) = server_inbox.pop_front().expect("just pushed");
-                    down_out.clear();
-                    let cost = server.deliver(now, ClientId(client as u16), msg, &mut down_out);
-                    let done = server_mach.run(now, cost);
-                    for (dest, m) in down_out.drain(..) {
-                        send_down!(dest.index(), m, done);
-                    }
-                    if !server_inbox.is_empty() {
-                        queue.schedule(done, Ev::WakeServer);
-                    }
+                    serve_server!(now, 1);
                 }
-                Ev::WakeServer => {
-                    if server_inbox.is_empty() {
-                        continue;
-                    }
-                    if server_mach.is_busy(now) {
-                        queue.schedule(server_mach.free_at(), Ev::WakeServer);
-                        continue;
-                    }
-                    let (client, msg) = server_inbox.pop_front().expect("checked non-empty");
-                    down_out.clear();
-                    let cost = server.deliver(now, ClientId(client as u16), msg, &mut down_out);
-                    let done = server_mach.run(now, cost);
-                    for (dest, m) in down_out.drain(..) {
-                        send_down!(dest.index(), m, done);
-                    }
-                    if !server_inbox.is_empty() {
-                        queue.schedule(done, Ev::WakeServer);
-                    }
-                }
+                Ev::WakeServer => serve_server!(now, members),
                 Ev::Down { client, msg, seq } => {
                     if crashed[client] || reaped[client] {
                         continue;
@@ -567,41 +622,13 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                     } else {
                         client_inbox[client].push_back(msg);
                     }
-                    if client_mach[client].is_busy(now) {
-                        queue.schedule(client_mach[client].free_at(), Ev::WakeClient { client });
-                        continue;
-                    }
-                    let msg = client_inbox[client]
-                        .pop_front()
-                        .expect("released at least one");
-                    up_out.clear();
-                    let cost = clients[client].deliver(now, msg, &mut up_out);
-                    let done = client_mach[client].run(now, cost);
-                    for m in up_out.drain(..) {
-                        send_up!(client, m, done);
-                    }
-                    if !client_inbox[client].is_empty() {
-                        queue.schedule(done, Ev::WakeClient { client });
-                    }
+                    serve_client!(client, now, 1);
                 }
                 Ev::WakeClient { client } => {
-                    if crashed[client] || reaped[client] || client_inbox[client].is_empty() {
+                    if crashed[client] || reaped[client] {
                         continue;
                     }
-                    if client_mach[client].is_busy(now) {
-                        queue.schedule(client_mach[client].free_at(), Ev::WakeClient { client });
-                        continue;
-                    }
-                    let msg = client_inbox[client].pop_front().expect("checked non-empty");
-                    up_out.clear();
-                    let cost = clients[client].deliver(now, msg, &mut up_out);
-                    let done = client_mach[client].run(now, cost);
-                    for m in up_out.drain(..) {
-                        send_up!(client, m, done);
-                    }
-                    if !client_inbox[client].is_empty() {
-                        queue.schedule(done, Ev::WakeClient { client });
-                    }
+                    serve_client!(client, now, members);
                 }
                 Ev::Tick => {
                     if server_mach.is_busy(now) {
@@ -769,11 +796,6 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                 oracle.observe(&rec);
             }
         }
-        if std::env::var("SEVE_DEBUG_VIOL").is_ok() {
-            if let Some(root) = oracle.first_input_mismatch() {
-                eprintln!("ROOT first input mismatch at pos {root}");
-            }
-        }
         let total_bytes: u64 = up_links
             .iter()
             .chain(down_links.iter())
@@ -826,6 +848,8 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
             committed_digest: server.committed().map(|s| s.digest()),
             duration,
             session: stats,
+            events_popped,
+            first_input_mismatch: oracle.first_input_mismatch(),
         }
     }
 }
@@ -1020,6 +1044,50 @@ mod tests {
         assert_eq!(wheel.stable_digests, heap.stable_digests);
         assert_eq!(wheel.committed_digest, heap.committed_digest);
         assert_eq!(wheel.duration, heap.duration);
+    }
+
+    /// Past capacity every node falls behind its inbox. Wakes coalesce
+    /// into runs, so the event loop pops a small multiple of the real
+    /// traffic — messages, moves, ticks and pushes: about three here (an
+    /// arrival, its wake, one run per job), bounded at four. One wake per
+    /// backlogged message per job (the wake storm) popped ~130 per real
+    /// event on this config.
+    #[test]
+    fn overloaded_run_pops_a_bounded_number_of_events() {
+        use seve_world::worlds::manhattan::{ManhattanConfig, ManhattanWorkload, ManhattanWorld};
+        let world = Arc::new(ManhattanWorld::new(ManhattanConfig {
+            clients: 64,
+            walls: 200,
+            cost_override_us: Some(40_000),
+            ..ManhattanConfig::default()
+        }));
+        let proto = ProtocolConfig {
+            msg_cost_us: 8_000,
+            ..ProtocolConfig::with_mode(ServerMode::InfoBound)
+        };
+        let suite = SeveSuite::new(proto.clone());
+        let mut wl = ManhattanWorkload::new(&world);
+        let cfg = small_cfg(6);
+        let r = Simulation::new(world, &suite, cfg.clone()).run(&mut wl);
+        assert_eq!(r.violations, 0);
+        // Past capacity: the response collapses (one RTT is 238 ms) and the
+        // server is busy for most of the run, drain included.
+        assert!(
+            r.response_ms.mean() > 1_000.0 && r.server_utilization > 0.5,
+            "the run must be overloaded: mean response {} ms, utilization {}",
+            r.response_ms.mean(),
+            r.server_utilization
+        );
+        let span = r.duration.as_micros();
+        let ticks = span / cfg.tick.as_micros();
+        let pushes = span / proto.push_period().as_micros();
+        let moves = 64 * u64::from(cfg.moves_per_client);
+        let real = r.total_msgs + moves + ticks + pushes;
+        assert!(
+            r.events_popped <= 4 * real,
+            "{} pops for {real} messages, moves, ticks and pushes",
+            r.events_popped
+        );
     }
 
     #[test]

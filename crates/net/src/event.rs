@@ -20,6 +20,23 @@
 //!   pinned by unit tests here, a randomized interleaving proptest in
 //!   `tests/prop_net.rs`, and a whole-simulation digest compare in
 //!   `bench_push`.
+//!
+//! ## Runs
+//!
+//! [`EventQueue::schedule_run`] is a *merging* schedule: when the entry
+//! scheduled most recently is still pending at the same time with an equal
+//! event, it absorbs the new one as one more member of a run instead of
+//! filing a new entry. Sequence numbers still advance by one per member, so
+//! a run of `count` members occupies the contiguous seqs
+//! `seq..seq + count`, and [`EventQueue::pop_run`] hands the whole run out
+//! in one pop. Nothing else can pop between a run's members — no other
+//! pending entry sits between them in `(time, seq)` order, and anything
+//! scheduled while they are handled gets a larger seq — so a caller that
+//! handles the members one after another sees exactly the stream it would
+//! have seen had every member been scheduled on its own. The most recent
+//! entry waits outside the backend (`last`) until the next schedule or its
+//! own pop, which is what lets a merge reach it; the backends themselves
+//! only ever see whole entries.
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -38,7 +55,9 @@ pub enum EventQueueKind {
 
 struct Entry<E> {
     at: SimTime,
+    /// Seq of the run's first member; the members hold `seq..seq + count`.
     seq: u64,
+    count: u32,
     event: E,
 }
 
@@ -275,11 +294,54 @@ enum Backend<E> {
     Wheel(Box<Wheel<E>>),
 }
 
+impl<E> Backend<E> {
+    fn push(&mut self, e: Entry<E>) {
+        match self {
+            Backend::Heap(h) => h.push(e),
+            Backend::Wheel(w) => w.schedule(e),
+        }
+    }
+
+    fn pop(&mut self) -> Option<Entry<E>> {
+        match self {
+            Backend::Heap(h) => h.pop(),
+            Backend::Wheel(w) => w.pop(),
+        }
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        match self {
+            Backend::Heap(h) => h.peek().map(|e| e.at),
+            Backend::Wheel(w) => w.peek_time().map(SimTime),
+        }
+    }
+}
+
+/// One [`EventQueue::pop_run`]: `count` members of `event` at time `at`,
+/// holding the contiguous sequence numbers `seq..seq + count`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Run<E> {
+    /// The members' time (the clock after the pop).
+    pub at: SimTime,
+    /// Sequence number of the first member.
+    pub seq: u64,
+    /// The event every member carries.
+    pub event: E,
+    /// Number of members (at least 1).
+    pub count: u32,
+}
+
 /// A deterministic priority queue of timed events.
 pub struct EventQueue<E> {
     backend: Backend<E>,
+    /// The most recently scheduled entry while it is still pending: the
+    /// only entry a merging schedule may extend. It holds the largest seq
+    /// of everything pending, so it pops first only when strictly earlier
+    /// than the backend's minimum.
+    last: Option<Entry<E>>,
     next_seq: u64,
     now: SimTime,
+    /// Pending members (a run counts each of its members).
     len: usize,
 }
 
@@ -303,6 +365,7 @@ impl<E> EventQueue<E> {
         };
         Self {
             backend,
+            last: None,
             next_seq: 0,
             now: SimTime::ZERO,
             len: 0,
@@ -323,7 +386,7 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of pending events.
+    /// Number of pending events (each member of a run counts).
     #[inline]
     pub fn len(&self) -> usize {
         self.len
@@ -335,39 +398,84 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Schedule `event` at absolute time `at`. Scheduling in the past is a
-    /// logic error (caught in debug builds); release builds clamp to `now`
-    /// so the simulation still makes progress.
-    pub fn schedule(&mut self, at: SimTime, event: E) {
-        debug_assert!(at >= self.now, "scheduled an event in the past");
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let entry = Entry { at, seq, event };
-        match &mut self.backend {
-            Backend::Heap(h) => h.push(entry),
-            Backend::Wheel(w) => w.schedule(entry),
+    /// File a new entry of `count` members at `at` as the most recent one.
+    fn push_new(&mut self, at: SimTime, event: E, count: u32) {
+        let entry = Entry {
+            at,
+            seq: self.next_seq,
+            count,
+            event,
+        };
+        self.next_seq += u64::from(count);
+        self.len += count as usize;
+        if let Some(prev) = self.last.replace(entry) {
+            self.backend.push(prev);
         }
-        self.len += 1;
     }
 
-    /// Pop the next event, advancing the clock to its time.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = match &mut self.backend {
-            Backend::Heap(h) => h.pop(),
-            Backend::Wheel(w) => w.pop(),
+    /// Scheduling in the past is a logic error (caught in debug builds);
+    /// release builds clamp to `now` so the simulation still makes progress.
+    fn clamp(&self, at: SimTime) -> SimTime {
+        debug_assert!(at >= self.now, "scheduled an event in the past");
+        at.max(self.now)
+    }
+
+    /// Schedule `event` at absolute time `at`.
+    pub fn schedule(&mut self, at: SimTime, event: E) {
+        let at = self.clamp(at);
+        self.push_new(at, event, 1);
+    }
+
+    /// Schedule `count` members of `event` at `at`, exactly as `count`
+    /// back-to-back [`schedule`](Self::schedule) calls would, merging them
+    /// into the most recently scheduled entry when that entry is still
+    /// pending at the same time with an equal event.
+    pub fn schedule_run(&mut self, at: SimTime, event: E, count: u32)
+    where
+        E: PartialEq,
+    {
+        debug_assert!(count > 0, "a run has at least one member");
+        let at = self.clamp(at);
+        if let Some(last) = &mut self.last {
+            if last.at == at && last.event == event {
+                last.count += count;
+                self.next_seq += u64::from(count);
+                self.len += count as usize;
+                return;
+            }
+        }
+        self.push_new(at, event, count);
+    }
+
+    /// Pop the next run, advancing the clock to its time.
+    pub fn pop_run(&mut self) -> Option<Run<E>> {
+        let last_first = self.last.as_ref().is_some_and(|l| {
+            self.backend
+                .peek_time()
+                .is_none_or(|backend_min| l.at < backend_min)
+        });
+        let e = if last_first {
+            self.last.take()
+        } else {
+            self.backend.pop()
         }?;
-        self.len -= 1;
-        debug_assert!(entry.at >= self.now);
-        self.now = entry.at;
-        Some((entry.at, entry.event))
+        self.len -= e.count as usize;
+        debug_assert!(e.at >= self.now);
+        self.now = e.at;
+        Some(Run {
+            at: e.at,
+            seq: e.seq,
+            event: e.event,
+            count: e.count,
+        })
     }
 
     /// The time of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Heap(h) => h.peek().map(|e| e.at),
-            Backend::Wheel(w) => w.peek_time().map(SimTime),
+        let backend = self.backend.peek_time();
+        match &self.last {
+            Some(l) => Some(backend.map_or(l.at, |b| b.min(l.at))),
+            None => backend,
         }
     }
 }
@@ -388,7 +496,7 @@ mod tests {
             q.schedule(SimTime::from_ms(30), "c");
             q.schedule(SimTime::from_ms(10), "a");
             q.schedule(SimTime::from_ms(20), "b");
-            let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+            let order: Vec<&str> = std::iter::from_fn(|| q.pop_run().map(|r| r.event)).collect();
             assert_eq!(order, vec!["a", "b", "c"], "{kind:?}");
         }
     }
@@ -401,7 +509,7 @@ mod tests {
             for i in 0..100 {
                 q.schedule(t, i);
             }
-            let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+            let order: Vec<i32> = std::iter::from_fn(|| q.pop_run().map(|r| r.event)).collect();
             assert_eq!(order, (0..100).collect::<Vec<_>>(), "{kind:?}");
         }
     }
@@ -413,9 +521,9 @@ mod tests {
             q.schedule(SimTime::from_ms(7), ());
             assert_eq!(q.now(), SimTime::ZERO);
             assert_eq!(q.peek_time(), Some(SimTime::from_ms(7)));
-            q.pop();
+            q.pop_run();
             assert_eq!(q.now(), SimTime::from_ms(7));
-            assert!(q.pop().is_none());
+            assert!(q.pop_run().is_none());
             assert!(q.is_empty());
         }
     }
@@ -425,13 +533,13 @@ mod tests {
         for kind in kinds() {
             let mut q = EventQueue::with_kind(kind);
             q.schedule(SimTime::from_ms(10), 1);
-            let (t, e) = q.pop().unwrap();
-            assert_eq!(e, 1);
+            let Run { at: t, event, .. } = q.pop_run().unwrap();
+            assert_eq!(event, 1);
             // Schedule relative to the popped time.
             q.schedule(t + SimDuration::from_ms(5), 2);
             q.schedule(t + SimDuration::from_ms(1), 3);
-            assert_eq!(q.pop().unwrap().1, 3);
-            assert_eq!(q.pop().unwrap().1, 2);
+            assert_eq!(q.pop_run().unwrap().event, 3);
+            assert_eq!(q.pop_run().unwrap().event, 2);
             assert_eq!(q.len(), 0);
         }
     }
@@ -448,10 +556,10 @@ mod tests {
             let far = SimTime(5_000_000); // parked at a high level from t=0
             q.schedule(far, "early");
             q.schedule(SimTime(4_999_990), "warm");
-            assert_eq!(q.pop().unwrap().1, "warm"); // cur advances near `far`
+            assert_eq!(q.pop_run().unwrap().event, "warm"); // cur advances near `far`
             q.schedule(far, "late"); // lands directly in level 0
-            assert_eq!(q.pop().unwrap().1, "early");
-            assert_eq!(q.pop().unwrap().1, "late");
+            assert_eq!(q.pop_run().unwrap().event, "early");
+            assert_eq!(q.pop_run().unwrap().event, "late");
             assert!(q.is_empty());
         }
     }
@@ -467,12 +575,62 @@ mod tests {
             q.schedule(day + SimDuration::from_micros(1), "farther");
             q.schedule(day, "far2");
             q.schedule(SimTime::from_ms(1), "near");
-            assert_eq!(q.pop().unwrap().1, "near");
-            assert_eq!(q.pop().unwrap().1, "far");
-            assert_eq!(q.pop().unwrap().1, "far2");
-            assert_eq!(q.pop().unwrap().1, "farther");
+            assert_eq!(q.pop_run().unwrap().event, "near");
+            assert_eq!(q.pop_run().unwrap().event, "far");
+            assert_eq!(q.pop_run().unwrap().event, "far2");
+            assert_eq!(q.pop_run().unwrap().event, "farther");
             assert!(q.is_empty());
             assert_eq!(q.now(), day + SimDuration::from_micros(1));
+        }
+    }
+
+    /// Merging schedules extend only the most recent, still-pending entry
+    /// with the same time and an equal event; seqs advance per member.
+    #[test]
+    fn runs_merge_only_into_the_most_recent_entry() {
+        for kind in kinds() {
+            let mut q = EventQueue::with_kind(kind);
+            let t = SimTime::from_ms(4);
+            q.schedule_run(t, 'w', 1);
+            q.schedule_run(t, 'w', 2); // merges: seqs 0..3
+            q.schedule_run(t, 'x', 1); // different event: seq 3
+            q.schedule_run(t, 'w', 1); // not the most recent 'w': seq 4
+            q.schedule_run(SimTime::from_ms(5), 'w', 1); // other time: seq 5
+            q.schedule(SimTime::from_ms(5), 'w'); // plain: seq 6, own entry
+            q.schedule_run(SimTime::from_ms(5), 'w', 3); // merges into seq 6
+            assert_eq!(q.len(), 10);
+            let runs: Vec<(u64, char, u32)> = std::iter::from_fn(|| q.pop_run())
+                .map(|r| (r.seq, r.event, r.count))
+                .collect();
+            assert_eq!(
+                runs,
+                vec![
+                    (0, 'w', 3),
+                    (3, 'x', 1),
+                    (4, 'w', 1),
+                    (5, 'w', 1),
+                    (6, 'w', 4)
+                ],
+                "{kind:?}"
+            );
+            assert!(q.is_empty());
+        }
+    }
+
+    /// A popped entry is gone: a later same-time merge starts a new run
+    /// with the next seq instead of reviving it.
+    #[test]
+    fn runs_never_merge_into_a_popped_entry() {
+        for kind in kinds() {
+            let mut q = EventQueue::with_kind(kind);
+            let t = SimTime::from_ms(2);
+            q.schedule_run(t, 7, 2);
+            let r = q.pop_run().unwrap();
+            assert_eq!((r.at, r.seq, r.count), (t, 0, 2));
+            q.schedule_run(t, 7, 1);
+            let r = q.pop_run().unwrap();
+            assert_eq!((r.seq, r.count), (2, 1), "{kind:?}");
+            assert!(q.pop_run().is_none());
         }
     }
 
@@ -486,10 +644,10 @@ mod tests {
             let t = SimTime::from_ms(3);
             q.schedule(t, 0);
             q.schedule(t, 1);
-            assert_eq!(q.pop().unwrap().1, 0);
+            assert_eq!(q.pop_run().unwrap().event, 0);
             q.schedule(t, 2); // now == t: same-instant append mid-drain
-            assert_eq!(q.pop().unwrap().1, 1);
-            assert_eq!(q.pop().unwrap().1, 2);
+            assert_eq!(q.pop_run().unwrap().event, 1);
+            assert_eq!(q.pop_run().unwrap().event, 2);
             assert!(q.is_empty());
         }
     }

@@ -9,7 +9,8 @@
 //!   experiment runs in milliseconds of real time and every run is exactly
 //!   reproducible.
 //! * [`event`] — a priority event queue with deterministic tie-breaking
-//!   (FIFO among simultaneous events).
+//!   (FIFO among simultaneous events) that coalesces back-to-back equal
+//!   events into runs popped at once.
 //! * [`link`] — a point-to-point link with one-way latency, a bandwidth cap
 //!   with FIFO queueing delay, and byte/message counters (the Figure 9
 //!   "total data transfer" instrumentation).

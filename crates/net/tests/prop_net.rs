@@ -6,6 +6,19 @@ use seve_net::link::Link;
 use seve_net::stats::Summary;
 use seve_net::time::{SimDuration, SimTime};
 
+#[derive(Clone, Debug)]
+enum Op {
+    /// Schedule `count` members of `ev` at `now + delta`: one merging call,
+    /// or `count` plain calls.
+    Schedule {
+        delta: u64,
+        ev: u8,
+        count: u32,
+        merge: bool,
+    },
+    Pop,
+}
+
 proptest! {
     #[test]
     fn event_queue_pops_sorted_with_fifo_ties(times in prop::collection::vec(0u64..1000, 1..100)) {
@@ -14,8 +27,8 @@ proptest! {
             q.schedule(SimTime(t), i);
         }
         let mut popped = Vec::new();
-        while let Some((t, i)) = q.pop() {
-            popped.push((t, i));
+        while let Some(r) = q.pop_run() {
+            popped.push((r.at, r.event));
         }
         prop_assert_eq!(popped.len(), times.len());
         for w in popped.windows(2) {
@@ -56,7 +69,7 @@ proptest! {
                 }
                 None => {
                     prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                    prop_assert_eq!(wheel.pop(), heap.pop());
+                    prop_assert_eq!(wheel.pop_run(), heap.pop_run());
                     prop_assert_eq!(wheel.now(), heap.now());
                 }
             }
@@ -65,12 +78,85 @@ proptest! {
         // Drain whatever is left: the tails must agree too.
         loop {
             prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-            let (w, h) = (wheel.pop(), heap.pop());
-            prop_assert_eq!(w, h);
+            let (w, h) = (wheel.pop_run(), heap.pop_run());
+            prop_assert_eq!(&w, &h);
             if w.is_none() {
                 break;
             }
         }
+    }
+
+    /// Merging schedules (runs) under random interleavings with plain
+    /// schedules and pops, including zero-delay schedules at `now` that
+    /// land in the wheel's open slot: wheel and heap pop identical
+    /// `(time, seq, event)` streams, and expanding every run into its
+    /// members reproduces a reference queue fed the same events one
+    /// schedule call at a time.
+    #[test]
+    fn runs_match_one_at_a_time_scheduling(
+        ops in prop::collection::vec(
+            (
+                0u8..5,
+                prop_oneof![
+                    Just(0u64),
+                    0u64..4,
+                    (0u32..25).prop_flat_map(|bits| 0u64..(1u64 << bits) + 1),
+                ],
+                0u8..3,
+                1u32..4,
+                any::<bool>(),
+            )
+                .prop_map(|(kind, delta, ev, count, merge)| match kind {
+                    // Three in five ops schedule, so the queue fills up.
+                    0..=2 => Op::Schedule { delta, ev, count, merge },
+                    _ => Op::Pop,
+                }),
+            1..250,
+        )
+    ) {
+        let mut wheel = EventQueue::with_kind(EventQueueKind::Wheel);
+        let mut heap = EventQueue::with_kind(EventQueueKind::Heap);
+        let mut reference = EventQueue::with_kind(EventQueueKind::Heap);
+        let drain = ops.len();
+        for op in ops.into_iter().chain(std::iter::repeat_n(Op::Pop, drain * 3)) {
+            match op {
+                Op::Schedule { delta, ev, count, merge } => {
+                    let at = SimTime(wheel.now().as_micros() + delta);
+                    if merge {
+                        wheel.schedule_run(at, ev, count);
+                        heap.schedule_run(at, ev, count);
+                    } else {
+                        for _ in 0..count {
+                            wheel.schedule(at, ev);
+                            heap.schedule(at, ev);
+                        }
+                    }
+                    for _ in 0..count {
+                        reference.schedule(at, ev);
+                    }
+                }
+                Op::Pop => {
+                    prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+                    prop_assert_eq!(wheel.peek_time(), reference.peek_time());
+                    let (w, h) = (wheel.pop_run(), heap.pop_run());
+                    prop_assert_eq!(&w, &h);
+                    let Some(run) = w else {
+                        prop_assert!(reference.pop_run().is_none());
+                        continue;
+                    };
+                    for i in 0..u64::from(run.count) {
+                        let one = reference.pop_run().expect("reference holds every member");
+                        prop_assert_eq!(one.count, 1);
+                        prop_assert_eq!((one.at, one.seq, one.event), (run.at, run.seq + i, run.event));
+                    }
+                }
+            }
+            prop_assert_eq!(wheel.now(), reference.now());
+            prop_assert_eq!(heap.now(), reference.now());
+            prop_assert_eq!(wheel.len(), reference.len());
+            prop_assert_eq!(heap.len(), reference.len());
+        }
+        prop_assert!(wheel.is_empty() && heap.is_empty() && reference.is_empty());
     }
 
     #[test]

@@ -416,9 +416,37 @@ impl GameWorld for ManhattanWorld {
 /// avatar moves every round, so "unchanged" reliably means "stale").
 pub struct ManhattanWorkload {
     env: Arc<ManhattanEnv>,
-    /// Per (observer, observed): last seen position and how many
-    /// consecutive observations it has been frozen.
-    freshness: std::collections::HashMap<(u16, u32), (Vec2, u32)>,
+    /// Per observer client, a dense table indexed by avatar id: the last
+    /// position seen and how many consecutive observations it has been
+    /// frozen. Rows are allocated on the observer's first move.
+    freshness: Vec<Vec<Sighting>>,
+}
+
+/// What one observer last saw of one avatar.
+#[derive(Clone, Copy)]
+struct Sighting {
+    pos: Vec2,
+    /// Consecutive observations at `pos`, not counting the first.
+    frozen: u32,
+}
+
+impl Sighting {
+    /// Never seen: a NaN position equals nothing, not even a NaN
+    /// sighting, so the first observation always starts a fresh count.
+    const UNSEEN: Sighting = Sighting {
+        pos: Vec2::new(f64::NAN, f64::NAN),
+        frozen: 0,
+    };
+
+    /// Record an observation at `p`; returns the frozen-round count.
+    fn observe(&mut self, p: Vec2) -> u32 {
+        if self.pos == p {
+            self.frozen += 1;
+        } else {
+            *self = Sighting { pos: p, frozen: 0 };
+        }
+        self.frozen
+    }
 }
 
 /// Consecutive frozen re-observations after which a remote avatar counts
@@ -430,7 +458,7 @@ impl ManhattanWorkload {
     pub fn new(world: &ManhattanWorld) -> Self {
         Self {
             env: Arc::clone(world.env()),
-            freshness: std::collections::HashMap::new(),
+            freshness: Vec::new(),
         }
     }
 
@@ -450,30 +478,28 @@ impl ManhattanWorkload {
         // Read set: me + every *live* avatar currently within the move
         // effect range of my believed position. The declared read set is
         // what the server's closure analysis (Algorithm 6) operates on.
+        //
+        // Freshness counts an observation only where the avatar is present
+        // in the view, so one ordered pass over the view's objects (avatar
+        // ids are `0..clients`, the view's smallest ids) visits exactly the
+        // sightings to record.
+        let observer = usize::from(client.0);
+        if self.freshness.len() <= observer {
+            self.freshness.resize_with(observer + 1, Vec::new);
+        }
+        let seen = &mut self.freshness[observer];
+        seen.resize(c.clients, Sighting::UNSEEN);
         let mut rs = ObjectSet::singleton(me);
         let r2 = c.move_effect_range * c.move_effect_range;
-        for i in 0..c.clients {
-            let other = ObjectId(i as u32);
+        for (other, object) in view.iter() {
+            let Some(sighting) = seen.get_mut(other.0 as usize) else {
+                break;
+            };
             if other == me {
                 continue;
             }
-            if let Some(p) = view.attr(other, POS).and_then(|v| v.as_vec2()) {
-                let frozen_rounds = match self.freshness.entry((client.0, other.0)) {
-                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                        let v = e.get_mut();
-                        if v.0 == p {
-                            v.1 += 1;
-                        } else {
-                            *v = (p, 0);
-                        }
-                        v.1
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert((p, 0));
-                        0
-                    }
-                };
-                let stale = frozen_rounds >= STALE_ROUNDS;
+            if let Some(p) = object.get(POS).and_then(|v| v.as_vec2()) {
+                let stale = sighting.observe(p) >= STALE_ROUNDS;
                 if !stale && p.dist2(pos) <= r2 {
                     rs.insert(other);
                 }
@@ -509,6 +535,7 @@ impl Workload<ManhattanWorld> for ManhattanWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::object::WorldObject;
 
     fn small_world() -> ManhattanWorld {
         ManhattanWorld::new(ManhattanConfig {
@@ -786,6 +813,150 @@ mod tests {
         view.set_attr(ObjectId(1), POS, Vec2::new(104.0, 100.0).into());
         let a = wl.make_move(ClientId(0), 3, &view).unwrap();
         assert!(a.read_set().contains(ObjectId(1)), "fresh data revives it");
+    }
+
+    /// The original freshness scan, kept as the dense table's oracle: an
+    /// `(observer, avatar)`-keyed hash map probed once per avatar id, with
+    /// a point lookup into the view for each.
+    struct HashedFreshness {
+        clients: usize,
+        range: f64,
+        seen: std::collections::HashMap<(u16, u32), (Vec2, u32)>,
+    }
+
+    impl HashedFreshness {
+        fn read_set(&mut self, client: ClientId, view: &WorldState) -> Option<ObjectSet> {
+            let me = ObjectId(u32::from(client.0));
+            let pos = view.attr(me, POS)?.as_vec2()?;
+            view.attr(me, DIR)?.as_vec2()?;
+            let mut rs = ObjectSet::singleton(me);
+            let r2 = self.range * self.range;
+            for i in 0..self.clients {
+                let other = ObjectId(i as u32);
+                if other == me {
+                    continue;
+                }
+                if let Some(p) = view.attr(other, POS).and_then(|v| v.as_vec2()) {
+                    let frozen_rounds = match self.seen.entry((client.0, other.0)) {
+                        std::collections::hash_map::Entry::Occupied(mut e) => {
+                            let v = e.get_mut();
+                            if v.0 == p {
+                                v.1 += 1;
+                            } else {
+                                *v = (p, 0);
+                            }
+                            v.1
+                        }
+                        std::collections::hash_map::Entry::Vacant(e) => {
+                            e.insert((p, 0));
+                            0
+                        }
+                    };
+                    if frozen_rounds < STALE_ROUNDS && p.dist2(pos) <= r2 {
+                        rs.insert(other);
+                    }
+                }
+            }
+            Some(rs)
+        }
+    }
+
+    /// Differential test of the dense freshness table against the hashed
+    /// oracle: random view updates (moves, freezes, disappearance and
+    /// reappearance, A→B→A round trips, objects without a position,
+    /// non-avatar objects) observed by several clients in random order,
+    /// with neighbours hopping in and out of the effect range. Every call
+    /// must declare the identical read set.
+    #[test]
+    fn dense_freshness_matches_hashed_oracle() {
+        const CLIENTS: usize = 7;
+        let w = ManhattanWorld::new(ManhattanConfig {
+            width: 1000.0,
+            height: 1000.0,
+            walls: 0,
+            clients: CLIENTS,
+            move_effect_range: 10.0,
+            ..ManhattanConfig::default()
+        });
+        // A few spots per axis: close enough that avatars share positions
+        // and sit both inside and outside each other's 10-unit range.
+        let spot = |rng: &mut StdRng| {
+            Vec2::new(
+                100.0 + 6.0 * f64::from(rng.gen_range(0u32..4)),
+                100.0 + 6.0 * f64::from(rng.gen_range(0u32..3)),
+            )
+        };
+        let mut compared = 0u32;
+        let mut stale_hits = 0u32;
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut wl = ManhattanWorkload::new(&w);
+            let mut oracle = HashedFreshness {
+                clients: CLIENTS,
+                range: 10.0,
+                seen: std::collections::HashMap::new(),
+            };
+            let mut view = WorldState::new();
+            for i in 0..CLIENTS as u32 {
+                view.set_attr(ObjectId(i), POS, spot(&mut rng).into());
+                view.set_attr(ObjectId(i), DIR, Vec2::new(1.0, 0.0).into());
+            }
+            // A non-avatar object past the avatar ids must be ignored.
+            view.set_attr(ObjectId(CLIENTS as u32 + 3), POS, spot(&mut rng).into());
+            let mut parked: Vec<Option<WorldObject>> = vec![None; CLIENTS];
+            for seq in 0..300u32 {
+                let a = ObjectId(rng.gen_range(0..CLIENTS as u32));
+                match rng.gen_range(0u32..8) {
+                    0 | 1 => view.set_attr(a, POS, spot(&mut rng).into()),
+                    2 => {
+                        // Round trip A→B→A between observations.
+                        if let Some(old) = view.attr(a, POS) {
+                            view.set_attr(a, POS, spot(&mut rng).into());
+                            view.set_attr(a, POS, old);
+                        }
+                    }
+                    3 => parked[a.0 as usize] = view.remove(a).or(parked[a.0 as usize].take()),
+                    4 => {
+                        if let Some(o) = parked[a.0 as usize].take() {
+                            view.put(a, o); // reappears where it was last seen
+                        }
+                    }
+                    5 => {
+                        // Present, but without a position.
+                        view.put(
+                            a,
+                            WorldObject::from_attrs([(DIR, Vec2::new(0.0, 1.0).into())]),
+                        );
+                    }
+                    _ => {} // everyone frozen this step
+                }
+                let observer = ClientId(rng.gen_range(0..CLIENTS as u16));
+                let dense = wl.make_move(observer, seq, &view).map(|m| m.rs);
+                let hashed = oracle.read_set(observer, &view);
+                assert_eq!(
+                    dense.as_ref().map(|s| s.as_slice().to_vec()),
+                    hashed.as_ref().map(|s| s.as_slice().to_vec()),
+                    "seed {seed} step {seq} observer {observer:?}"
+                );
+                if let Some(rs) = &hashed {
+                    compared += 1;
+                    let me = ObjectId(u32::from(observer.0));
+                    let pos = view.attr(me, POS).and_then(|v| v.as_vec2()).unwrap();
+                    let in_range = (0..CLIENTS as u32)
+                        .map(ObjectId)
+                        .filter(|&o| o != me)
+                        .filter_map(|o| view.attr(o, POS).and_then(|v| v.as_vec2()))
+                        .filter(|p| p.dist2(pos) <= 100.0)
+                        .count();
+                    stale_hits += u32::from(rs.len() < in_range + 1);
+                }
+            }
+        }
+        assert!(compared > 2_000, "observers with an avatar: {compared}");
+        assert!(
+            stale_hits > 100,
+            "frozen neighbours must be dropped: {stale_hits}"
+        );
     }
 
     #[test]

@@ -55,6 +55,9 @@ fn main() {
         ring_run.evals_checked,
         ring_run.violations
     );
+    if let Some(pos) = ring_run.first_input_mismatch {
+        println!("       replicas first read different inputs at queue position {pos}");
+    }
 
     assert_eq!(seve.violations, 0, "SEVE: Theorem 1");
     assert!(

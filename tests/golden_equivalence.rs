@@ -10,8 +10,10 @@
 //! Incomplete engines on the same 32-client world. The golden constants
 //! were captured from the pre-refactor engines; any drift in serialization
 //! order, routing, cost accounting, or egress assembly changes a digest.
+//! Two overloaded 128-client cells, captured on the one-wake-per-arrival
+//! event loop, pin the simulator's coalesced wake runs the same way.
 
-use seve::core::config::ServerMode;
+use seve::core::config::{ProtocolConfig, ServerMode};
 use seve::sim::experiment::{
     dense_protocol, dense_world, paper_protocol, paper_sim, paper_world, run_seve, Scale,
 };
@@ -106,6 +108,41 @@ fn fig8_run() -> RunResult {
     run_seve(&world, ServerMode::InfoBound, proto, &sim)
 }
 
+/// The overloaded Table I world at 128 clients (Figure 6 past capacity):
+/// the server and the clients both fall behind their inboxes, so wake
+/// crowds form on every node. Pins the coalesced wake runs against the
+/// one-wake-per-arrival schedule they replaced.
+fn overload_run() -> RunResult {
+    let world = paper_world(128, Scale::Quick);
+    let sim = SimConfig {
+        moves_per_client: 10,
+        ..paper_sim(Scale::Quick)
+    };
+    run_seve(
+        &world,
+        ServerMode::InfoBound,
+        paper_protocol(ServerMode::InfoBound),
+        &sim,
+    )
+}
+
+/// The same overload with free server messages (`msg_cost_us = 0`): only
+/// ticks and pushes keep the server busy, and a job that serves a free
+/// message leaves it free at `now`, so several members of one wake run
+/// serve in turn. Pins that a run keeps serving while its jobs are free.
+fn overload_free_msgs_run() -> RunResult {
+    let world = paper_world(128, Scale::Quick);
+    let sim = SimConfig {
+        moves_per_client: 10,
+        ..paper_sim(Scale::Quick)
+    };
+    let proto = ProtocolConfig {
+        msg_cost_us: 0,
+        ..paper_protocol(ServerMode::InfoBound)
+    };
+    run_seve(&world, ServerMode::InfoBound, proto, &sim)
+}
+
 // Golden digests captured from the pre-refactor engines (commit 115cafd
 // lineage) under the vendored deterministic dependency stubs.
 const GOLD_FIG6_INFOBOUND: u64 = 0x7e3c7d54b132cbe;
@@ -113,6 +150,9 @@ const GOLD_FIG6_FIRSTBOUND: u64 = 0x41467ed9a3781e2d;
 const GOLD_FIG6_BASIC: u64 = 0x460be8a40d3676ab;
 const GOLD_FIG6_INCOMPLETE: u64 = 0x7a12ebfb132ff0d;
 const GOLD_FIG8_DENSE_DROP: u64 = 0x2b4949e600e4762a;
+// Captured from the per-arrival wake schedule, before wakes coalesced.
+const GOLD_OVERLOAD_128: u64 = 0xd17af3a62501f74a;
+const GOLD_OVERLOAD_128_FREE_MSGS: u64 = 0xe8188050ce598cbb;
 
 #[test]
 fn fig6_infobound_matches_pre_refactor_engines() {
@@ -148,6 +188,19 @@ fn fig8_dense_with_dropping_matches_pre_refactor_engines() {
     assert_eq!(run_digest(&fig8_run()), GOLD_FIG8_DENSE_DROP);
 }
 
+#[test]
+fn overload_128_matches_per_arrival_wakes() {
+    assert_eq!(run_digest(&overload_run()), GOLD_OVERLOAD_128);
+}
+
+#[test]
+fn overload_128_free_msgs_matches_per_arrival_wakes() {
+    assert_eq!(
+        run_digest(&overload_free_msgs_run()),
+        GOLD_OVERLOAD_128_FREE_MSGS
+    );
+}
+
 /// Capture helper: `cargo test -p seve --test golden_equivalence -- --ignored --nocapture`
 /// prints the digests to re-pin after an *intentional* behaviour change.
 #[test]
@@ -172,5 +225,13 @@ fn print_golden_digests() {
     println!(
         "GOLD_FIG8_DENSE_DROP: u64 = {:#x};",
         run_digest(&fig8_run())
+    );
+    println!(
+        "GOLD_OVERLOAD_128: u64 = {:#x};",
+        run_digest(&overload_run())
+    );
+    println!(
+        "GOLD_OVERLOAD_128_FREE_MSGS: u64 = {:#x};",
+        run_digest(&overload_free_msgs_run())
     );
 }
