@@ -15,14 +15,11 @@
 //! CI. Invoked by `scripts/bench.sh`.
 
 use seve_bench::push_fixture;
-use seve_core::closure::{
-    analyze_new_actions_batched, closure_for, closure_for_linear, ActionQueue, AnalyzeScratch,
-    ClientSet,
-};
+use seve_core::closure::{closure_for, closure_for_linear, ActionQueue, ClientSet};
 use seve_core::config::ServerMode;
 use seve_net::event::EventQueueKind;
 use seve_sim::experiment::{paper_protocol, paper_sim, paper_world, run_seve, Scale};
-use seve_sim::harness::SimConfig;
+use seve_sim::SimConfig;
 use seve_world::ids::ClientId;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -70,27 +67,11 @@ struct SweepRow {
     server_compute_us: u64,
 }
 
-struct AnalyzeRow {
-    clients: usize,
-    batch: usize,
-    seq_ns: u64,
-    par_ns: u64,
-    threads: usize,
-    components: usize,
-    max_batch: usize,
-    /// More worker threads than the host has cores: the "speedup" column
-    /// measures time-slicing, not parallelism, and must not gate smoke
-    /// assertions. (The blind spot that let a 0.5× regression land as a
-    /// "parallel speedup" row on a 1-core host.)
-    oversubscribed: bool,
-}
-
 struct ScaleRow {
     clients: usize,
     wall_ms: f64,
     submitted: u64,
     dropped: u64,
-    analyze_parallel_ticks: u64,
 }
 
 fn main() {
@@ -207,98 +188,11 @@ fn main() {
         });
     }
 
-    // --- Parallel Algorithm 7 analysis: batched vs sequential. -----------
-    // A thousand-avatar tick on the clustered Manhattan world: every
-    // avatar has one new action queued, footprints cluster-local, so the
-    // tick partitions into many independent components. Worker-thread
-    // wall-clock is host-dependent (this table records it alongside the
-    // host's parallelism); the drop decisions and counters are asserted
-    // bit-identical in-process, every run.
-    let (par_sizes, par_iters): (&[usize], usize) = if smoke {
-        (&[256], 5)
-    } else {
-        (&[1024, 2048], 15)
-    };
-    // Benchmark as many worker tasks as the host can genuinely run in
-    // parallel (capped at the historical 4). On a single-core host the
-    // row still runs — with 2 tasks, marked oversubscribed — so the table
-    // stays comparable across hosts, but speedup gates only apply where
-    // real parallelism exists.
-    let host_parallelism = std::thread::available_parallelism().map_or(1, |t| t.get());
-    let par_threads = host_parallelism.clamp(2, 4);
-    let oversubscribed = par_threads > host_parallelism;
-    // The persistent pool the server would own: amortizing lane spawn
-    // across ticks is the point — a fresh scoped spawn per tick is what
-    // this table previously (mis)measured as the parallel path.
-    let exec = seve_exec::Executor::new(par_threads);
-    let threshold = paper_protocol(ServerMode::InfoBound).threshold;
-    let mut analyze_rows = Vec::new();
-    for &clients in par_sizes {
-        let mut fx = push_fixture::build(clients, clients, ServerMode::InfoBound);
-        let from = fx.st.queue.first_pos();
-        let mut scratch = AnalyzeScratch::new();
-        let mut run = |threads: usize| {
-            let mut samples = Vec::with_capacity(par_iters);
-            let mut result = None;
-            for i in 0..par_iters + 2 {
-                for e in fx.st.queue.iter_mut_rev() {
-                    e.dropped = false;
-                }
-                let t = Instant::now();
-                let r = analyze_new_actions_batched(
-                    &mut fx.st.queue,
-                    from,
-                    threshold,
-                    threads,
-                    &mut scratch,
-                    &exec,
-                );
-                let dt = t.elapsed().as_nanos() as u64;
-                if i >= 2 {
-                    samples.push(dt);
-                }
-                result = Some(std::hint::black_box(r));
-            }
-            (median_ns(samples), result.unwrap())
-        };
-        let (seq_ns, rs) = run(1);
-        let (par_ns, rp) = run(par_threads);
-        // The parallel path must be bit-identical to the sequential oracle.
-        assert_eq!(rs.dropped, rp.dropped, "parallel analysis drop divergence");
-        assert_eq!(rs.scanned, rp.scanned, "linear-equivalent count drifted");
-        assert_eq!(rs.visited, rp.visited, "visited-entry count drifted");
-        assert_eq!(rs.chain_lens, rp.chain_lens, "chain-length divergence");
-        eprintln!(
-            "analyze clients={clients}: sequential {seq_ns} ns, {par_threads} threads {par_ns} ns \
-             ({:.2}x, {} components, max batch {}){}",
-            seq_ns as f64 / par_ns.max(1) as f64,
-            rp.components,
-            rp.max_batch,
-            if oversubscribed {
-                " [OVERSUBSCRIBED: threads > cores]"
-            } else {
-                ""
-            }
-        );
-        analyze_rows.push(AnalyzeRow {
-            clients,
-            batch: clients,
-            seq_ns,
-            par_ns,
-            threads: par_threads,
-            components: rp.components,
-            max_batch: rp.max_batch,
-            oversubscribed,
-        });
-    }
-
     // --- Thousand-client sim sweep over the timer wheel. -----------------
     // The O(1) event queue is what makes these affordable: the run is a
     // full Information Bound session (submissions, pushes, drops, oracle),
-    // wall-clocked end to end. Analysis runs on the 4-thread batched path
-    // (a ~170-action tick clears the fan-out gate), so the sweep also
-    // proves the parallel analyzer inside a complete thousand-client
-    // session — the oracle cross-checks every evaluation.
+    // wall-clocked end to end, with the oracle cross-checking every
+    // evaluation.
     let scale_sizes: &[usize] = if smoke { &[1024] } else { &[1024, 2048] };
     let mut scale_rows = Vec::new();
     for &clients in scale_sizes {
@@ -307,23 +201,24 @@ fn main() {
             moves_per_client: 10,
             ..paper_sim(Scale::Quick)
         };
-        let mut proto = paper_protocol(ServerMode::InfoBound);
-        proto.analyze_threads = Some(par_threads);
         let t = Instant::now();
-        let r = run_seve(&world, ServerMode::InfoBound, proto, &sim);
+        let r = run_seve(
+            &world,
+            ServerMode::InfoBound,
+            paper_protocol(ServerMode::InfoBound),
+            &sim,
+        );
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
         assert_eq!(r.violations, 0, "Theorem 1 at {clients} clients");
         eprintln!(
-            "sim-scale clients={clients}: {wall_ms:.0} ms wall, {} submitted, {} dropped, \
-             {} parallel analyze ticks",
-            r.submitted, r.dropped, r.server.stage.analyze_parallel_ticks
+            "sim-scale clients={clients}: {wall_ms:.0} ms wall, {} submitted, {} dropped",
+            r.submitted, r.dropped
         );
         scale_rows.push(ScaleRow {
             clients,
             wall_ms,
             submitted: r.submitted,
             dropped: r.dropped,
-            analyze_parallel_ticks: r.server.stage.analyze_parallel_ticks,
         });
     }
 
@@ -378,6 +273,7 @@ fn main() {
     }
 
     // --- Emit JSON (no serializer dependency: the shape is flat). --------
+    let host_parallelism = std::thread::available_parallelism().map_or(1, |t| t.get());
     let mut j = String::new();
     j.push_str("{\n");
     let _ = writeln!(
@@ -425,31 +321,13 @@ fn main() {
         );
     }
     j.push_str("  ],\n");
-    j.push_str("  \"analyze_parallel\": [\n");
-    for (i, r) in analyze_rows.iter().enumerate() {
-        let sep = if i + 1 < analyze_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            j,
-            "    {{\"clients\": {}, \"batch\": {}, \"seq_median_ns\": {}, \"par_median_ns\": {}, \"threads\": {}, \"speedup\": {:.3}, \"components\": {}, \"max_batch\": {}, \"oversubscribed\": {}}}{sep}",
-            r.clients,
-            r.batch,
-            r.seq_ns,
-            r.par_ns,
-            r.threads,
-            r.seq_ns as f64 / r.par_ns.max(1) as f64,
-            r.components,
-            r.max_batch,
-            r.oversubscribed,
-        );
-    }
-    j.push_str("  ],\n");
     j.push_str("  \"sim_scale\": [\n");
     for (i, r) in scale_rows.iter().enumerate() {
         let sep = if i + 1 < scale_rows.len() { "," } else { "" };
         let _ = writeln!(
             j,
-            "    {{\"clients\": {}, \"wall_ms\": {:.1}, \"submitted\": {}, \"dropped\": {}, \"analyze_parallel_ticks\": {}}}{sep}",
-            r.clients, r.wall_ms, r.submitted, r.dropped, r.analyze_parallel_ticks,
+            "    {{\"clients\": {}, \"wall_ms\": {:.1}, \"submitted\": {}, \"dropped\": {}}}{sep}",
+            r.clients, r.wall_ms, r.submitted, r.dropped,
         );
     }
     j.push_str("  ],\n");

@@ -1,8 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [--quick] [--analyze-threads N] [--exec-threads N]
-//!       [table1|fig6|fig7|fig8|fig9|fig10|table2|capacity|ablations|all]
+//! repro [--quick] [table1|fig6|fig7|fig8|fig9|fig10|table2|capacity|ablations|all]
 //! ```
 //!
 //! `--quick` runs the reduced sweeps used by the test suite; the default is
@@ -14,29 +13,9 @@ use seve_sim::report::{render_replay_work, render_settings, render_stage_profile
 use std::io::Write as _;
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let scale = if quick { Scale::Quick } else { Scale::Full };
-    // `--analyze-threads N` reaches every server the experiments build via
-    // the environment knob the pipeline resolves at construction.
-    if let Some(i) = args.iter().position(|a| a == "--analyze-threads") {
-        let Some(n) = args.get(i + 1).filter(|v| v.parse::<usize>().is_ok()) else {
-            eprintln!("--analyze-threads needs a thread count");
-            std::process::exit(2);
-        };
-        std::env::set_var("SEVE_ANALYZE_THREADS", n);
-        args.drain(i..=i + 1);
-    }
-    // `--exec-threads N` pins the persistent executor pool width the same
-    // way; every `PipelineState` resolves it at construction.
-    if let Some(i) = args.iter().position(|a| a == "--exec-threads") {
-        let Some(n) = args.get(i + 1).filter(|v| v.parse::<usize>().is_ok()) else {
-            eprintln!("--exec-threads needs a thread count");
-            std::process::exit(2);
-        };
-        std::env::set_var("SEVE_EXEC_THREADS", n);
-        args.drain(i..=i + 1);
-    }
     let what: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with("--"))

@@ -28,7 +28,6 @@ fn run_selection(
     velocity_culling: bool,
     override_r: Option<f64>,
     drop_mask: &[bool],
-    exec_threads: usize,
 ) -> (Vec<Vec<u64>>, Vec<Vec<u64>>) {
     let world = Arc::new(ManhattanWorld::new(ManhattanConfig {
         clients,
@@ -40,7 +39,6 @@ fn run_selection(
         interest_filtering,
         velocity_culling,
         interest_radius_override: override_r,
-        exec_threads: Some(exec_threads),
         ..ProtocolConfig::with_mode(mode)
     };
     let mut st = PipelineState::new(world.clone(), cfg.clone());
@@ -88,89 +86,23 @@ fn run_selection(
     (indexed, linear)
 }
 
-/// Run the same workload across executor widths {1, 2, 8} and require the
-/// indexed selection to be bit-identical to the linear reference (and thus
-/// to itself) at every width. Width 1 runs fully inline with zero worker
-/// threads; the wider pools exercise the work-stealing path whenever the
-/// probe count clears the parallel gate.
-#[allow(clippy::too_many_arguments)]
-fn check_selection_equivalence(
-    seed: u64,
-    clients: usize,
-    total: usize,
-    split: usize,
-    mode: ServerMode,
-    interest_filtering: bool,
-    velocity_culling: bool,
-    override_r: Option<f64>,
-    drop_mask: &[bool],
-) -> Result<(), TestCaseError> {
-    let mut baseline: Option<Vec<Vec<u64>>> = None;
-    for exec_threads in [1usize, 2, 8] {
-        let (indexed, linear) = run_selection(
-            seed,
-            clients,
-            total,
-            split,
-            mode,
-            interest_filtering,
-            velocity_culling,
-            override_r,
-            drop_mask,
-            exec_threads,
-        );
-        prop_assert_eq!(
-            &indexed,
-            &linear,
-            "indexed selection diverged from the linear scan at pool width {}",
-            exec_threads
-        );
-        match &baseline {
-            None => baseline = Some(indexed),
-            Some(b) => prop_assert_eq!(
-                b,
-                &indexed,
-                "selection changed between pool width 1 and width {}",
-                exec_threads
-            ),
-        }
-    }
-    Ok(())
-}
-
-/// Deterministic above-gate case: enough undelivered entries (> the
-/// `PAR_MIN_PROBES = 192` gate seed) that the multi-lane pools take the
-/// parallel chunked path, not the inline fallback — then the result must
-/// still match the linear scan and the width-1 run exactly.
+/// A large window — 32 clients, 400 undelivered entries, interest
+/// filtering and velocity culling on — selects exactly what the linear
+/// scan selects.
 #[test]
-fn parallel_selection_above_gate_matches_sequential() {
-    let drop_mask = vec![false; 0];
-    let mut baseline: Option<Vec<Vec<u64>>> = None;
-    for exec_threads in [1usize, 2, 8] {
-        let (indexed, linear) = run_selection(
-            0x5EED,
-            32,
-            400,
-            0,
-            ServerMode::InfoBound,
-            true,
-            true,
-            None,
-            &drop_mask,
-            exec_threads,
-        );
-        assert_eq!(
-            indexed, linear,
-            "indexed selection diverged from linear at pool width {exec_threads}"
-        );
-        match &baseline {
-            None => baseline = Some(indexed),
-            Some(b) => assert_eq!(
-                b, &indexed,
-                "selection changed between pool width 1 and width {exec_threads}"
-            ),
-        }
-    }
+fn large_window_selection_matches_linear_scan() {
+    let (indexed, linear) = run_selection(
+        0x5EED,
+        32,
+        400,
+        0,
+        ServerMode::InfoBound,
+        true,
+        true,
+        None,
+        &[],
+    );
+    assert_eq!(indexed, linear, "indexed selection diverged from linear");
 }
 
 proptest! {
@@ -191,7 +123,7 @@ proptest! {
     ) {
         let mode = if info_bound { ServerMode::InfoBound } else { ServerMode::FirstBound };
         let split = ((total as f64) * split_frac) as usize;
-        check_selection_equivalence(
+        let (indexed, linear) = run_selection(
             seed,
             clients,
             total,
@@ -201,6 +133,7 @@ proptest! {
             velocity_culling,
             override_on.then_some(override_r),
             &drop_mask,
-        )?;
+        );
+        prop_assert_eq!(indexed, linear, "indexed selection diverged from the linear scan");
     }
 }

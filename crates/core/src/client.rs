@@ -113,21 +113,6 @@ impl<W: GameWorld> SeveClient<W> {
                 None => missing += 1,
             }
         }
-        if let Ok(target) = std::env::var("SEVE_DEBUG_POS") {
-            if target.parse::<u64>() == Ok(pos) {
-                let vals: Vec<String> = action
-                    .read_set()
-                    .iter()
-                    .map(|o| format!("{o:?}={:?}", state.get(o)))
-                    .collect();
-                eprintln!(
-                    "EVALDUMP replica c{} pos {pos} first {first_time} action {:?} rs {}",
-                    metrics.owner,
-                    action.id(),
-                    vals.join(" | ")
-                );
-            }
-        }
         let outcome = action.evaluate(world.env(), state);
         metrics.evaluations += 1;
         *cost_us += world.eval_cost_micros(action);
@@ -265,17 +250,6 @@ impl<W: GameWorld> ClientNode<W> for SeveClient<W> {
                 for item in items.iter() {
                     match &item.payload {
                         Payload::Blind(snap) => {
-                            if std::env::var("SEVE_DEBUG_C38").is_ok()
-                                && self.id.0 == 38
-                                && snap.iter().any(|(o, _)| o.0 == 36)
-                            {
-                                let v = snap
-                                    .iter()
-                                    .find(|(o, _)| o.0 == 36)
-                                    .map(|(_, obj)| format!("{obj:?}"))
-                                    .unwrap_or_default();
-                                eprintln!("C38 blind as_of {} o36 {}", item.pos, v);
-                            }
                             let world = &self.world;
                             let metrics = &mut self.metrics;
                             let ins = self.replay.insert_blind(item.pos, snap.clone(), {
@@ -296,22 +270,7 @@ impl<W: GameWorld> ClientNode<W> for SeveClient<W> {
                             }
                         }
                         Payload::Action(action) => {
-                            if std::env::var("SEVE_DEBUG_C38").is_ok()
-                                && self.id.0 == 38
-                                && action.issuer().0 == 36
-                            {
-                                eprintln!("C38 recv action {:?} pos {}", action.id(), item.pos);
-                            }
                             if self.replay.has_action(item.pos) {
-                                if std::env::var("SEVE_DEBUG_DUP").is_ok() {
-                                    eprintln!(
-                                        "DUP client {:?} pos {} issuer {:?} base_pos {}",
-                                        self.id,
-                                        item.pos,
-                                        action.issuer(),
-                                        self.replay.base_pos()
-                                    );
-                                }
                                 // Duplicate delivery (e.g. redundant push):
                                 // already applied, ignore.
                                 continue;
@@ -327,9 +286,6 @@ impl<W: GameWorld> ClientNode<W> for SeveClient<W> {
                                 }
                             });
                             let stable = ins.outcome.expect("actions produce outcomes");
-                            if own && std::env::var("SEVE_DEBUG_OWN").is_ok() {
-                                eprintln!("OWNRET client {:?} pos {}", self.id, item.pos);
-                            }
                             if own {
                                 cost += self.own_action_returned(now, id, &stable);
                             }

@@ -348,21 +348,6 @@ impl<'i> Frontier<'i> {
         }
     }
 
-    /// A frontier with pre-sized cursor storage. The frontier borrows the
-    /// tick's index so it cannot live in [`AnalyzeScratch`] itself; the
-    /// scratch carries its high-water mark across ticks instead.
-    fn with_capacity(index: &'i PostingsMap, cap: usize) -> Self {
-        Self {
-            index,
-            cursors: Vec::with_capacity(cap),
-        }
-    }
-
-    /// The cursor capacity actually grown into (next tick's pre-size).
-    fn high_water(&self) -> usize {
-        self.cursors.capacity()
-    }
-
     /// Park a cursor for `o` on its largest posting strictly below `below`
     /// (an object entering `S` for the first time in this walk).
     fn seed(&mut self, o: ObjectId, below: QueuePos) {
@@ -647,388 +632,6 @@ pub struct DropAnalysis {
     pub visited: usize,
     /// Conflict-chain length of each analyzed action.
     pub chain_lens: Vec<usize>,
-    /// Footprint-disjoint components the tick's new actions partitioned
-    /// into (0 when the partition was skipped — sequential path).
-    pub components: usize,
-    /// Worker threads the analysis actually ran on (1 = sequential).
-    pub par_workers: usize,
-    /// Largest component (batch) handed to one worker.
-    pub max_batch: usize,
-    /// Summed wall-clock busy time across workers, nanoseconds. Host-side
-    /// diagnostic only — never feeds simulated time.
-    pub worker_busy_nanos: u64,
-}
-
-/// Reusable buffers for the per-tick Algorithm 7 analysis, held in
-/// `PipelineState` so the analyze stage allocates nothing in steady state:
-/// action/component/verdict buffers are cleared, never freed, between
-/// ticks.
-#[derive(Default)]
-pub struct AnalyzeScratch {
-    /// Union-find parents over provisional component ids.
-    parent: Vec<u32>,
-    /// Object → provisional component currently owning it (same fast
-    /// hasher as the inverted write index).
-    owner: HashMap<ObjectId, u32, std::hash::BuildHasherDefault<ObjectIdHasher>>,
-    /// `(position, provisional component)` per analyzed action, in
-    /// position order.
-    action_comp: Vec<(QueuePos, u32)>,
-    /// Provisional root → compact component slot (`u32::MAX` = unseen).
-    slot_of_root: Vec<u32>,
-    /// Member positions per component, ascending; components ordered by
-    /// first member. Only the first `components` slots of a tick are live.
-    members: Vec<Vec<QueuePos>>,
-    /// Per-action verdicts, merged back into position order.
-    verdicts: Vec<Verdict>,
-    /// Support-set buffer for the sequential walk.
-    support: ObjectSet,
-    /// This tick's drop decisions (the sequential walk's overlay).
-    local_drops: Vec<QueuePos>,
-    /// High-water cursor count, pre-sizing the frontier each tick (the
-    /// frontier itself borrows the tick's index and cannot persist).
-    frontier_cap: usize,
-}
-
-/// The outcome of one action's chain walk, produced independently per
-/// component and merged deterministically by position.
-#[derive(Debug, Clone, Copy)]
-struct Verdict {
-    pos: QueuePos,
-    chain: usize,
-    /// Linear-equivalent scan length (`pos - stop`).
-    span: usize,
-    visited: usize,
-    invalid: bool,
-}
-
-fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
-    while parent[x as usize] != x {
-        let g = parent[parent[x as usize] as usize];
-        parent[x as usize] = g; // path halving
-        x = g;
-    }
-    x
-}
-
-fn uf_union(parent: &mut [u32], a: u32, b: u32) -> u32 {
-    let ra = uf_find(parent, a);
-    let rb = uf_find(parent, b);
-    if ra == rb {
-        return ra;
-    }
-    // The smaller id wins, keeping component identity deterministic.
-    let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-    parent[hi as usize] = lo;
-    lo
-}
-
-impl AnalyzeScratch {
-    /// Fresh scratch (buffers grow to steady-state sizes on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Partition the non-dropped actions in `start..=last` into connected
-    /// components of read-set overlap: union-find over touched objects,
-    /// with the 64-bit occupancy signature rejecting the per-object probes
-    /// outright for actions disjoint from everything seen so far.
-    ///
-    /// Read-set components refine *all* intra-tick analysis dependencies:
-    /// a chain walk descends strictly, every link is a read/write overlap
-    /// (`WS ⊆ RS`), and cursors seed only below the seeding position — so
-    /// any walk path between two new actions passes exclusively through
-    /// new actions, each hop a read-set overlap. Entries older than
-    /// `start` are read-only this tick and cannot link two components.
-    ///
-    /// Returns the number of components; `self.members[..n]` hold their
-    /// member positions ascending, components ordered by first member.
-    fn partition<A: Action>(
-        &mut self,
-        entries: &VecDeque<QueueEntry<A>>,
-        first: QueuePos,
-        start: QueuePos,
-        last: QueuePos,
-    ) -> usize {
-        self.parent.clear();
-        self.owner.clear();
-        self.action_comp.clear();
-        let mut seen_sig = 0u64;
-        for pos in start..=last {
-            let e = &entries[(pos - first) as usize];
-            if e.dropped {
-                continue;
-            }
-            let rs = e.rs();
-            let sig = rs.signature();
-            let root = if sig & seen_sig == 0 {
-                // Signature-disjoint from every read set so far ⇒ exactly
-                // disjoint ⇒ provably a fresh component: claim the
-                // objects without probing current owners.
-                let c = self.parent.len() as u32;
-                self.parent.push(c);
-                for o in rs.iter() {
-                    self.owner.insert(o, c);
-                }
-                c
-            } else {
-                let mut root: Option<u32> = None;
-                for o in rs.iter() {
-                    if let Some(&c) = self.owner.get(&o) {
-                        let r = uf_find(&mut self.parent, c);
-                        root = Some(match root {
-                            None => r,
-                            Some(p) => uf_union(&mut self.parent, p, r),
-                        });
-                    }
-                }
-                let root = root.unwrap_or_else(|| {
-                    let c = self.parent.len() as u32;
-                    self.parent.push(c);
-                    c
-                });
-                // Re-point the touched objects at the merged root (stale
-                // owners elsewhere still resolve to it through the UF).
-                for o in rs.iter() {
-                    self.owner.insert(o, root);
-                }
-                root
-            };
-            seen_sig |= sig;
-            self.action_comp.push((pos, root));
-        }
-        // Group by final root; iterating actions in position order keeps
-        // members ascending and orders components by first member.
-        self.slot_of_root.clear();
-        self.slot_of_root.resize(self.parent.len(), u32::MAX);
-        let mut ncomp = 0usize;
-        for i in 0..self.action_comp.len() {
-            let (pos, c) = self.action_comp[i];
-            let r = uf_find(&mut self.parent, c) as usize;
-            let slot = if self.slot_of_root[r] == u32::MAX {
-                if ncomp == self.members.len() {
-                    self.members.push(Vec::new());
-                }
-                self.members[ncomp].clear();
-                self.slot_of_root[r] = ncomp as u32;
-                ncomp += 1;
-                ncomp - 1
-            } else {
-                self.slot_of_root[r] as usize
-            };
-            self.members[slot].push(pos);
-        }
-        ncomp
-    }
-}
-
-/// One action's Algorithm 7 chain walk, reading the queue immutably.
-/// Identical to the walk inside [`analyze_new_actions`] except that this
-/// tick's earlier drop decisions arrive through the `local_drops` overlay
-/// instead of entry marks — the caller applies marks after the merge. The
-/// overlay only ever needs the decisions of the walker's own component:
-/// the partition guarantees no walk reaches another component's actions.
-#[allow(clippy::too_many_arguments)]
-fn chain_walk<A: Action>(
-    entries: &VecDeque<QueueEntry<A>>,
-    first: QueuePos,
-    pos: QueuePos,
-    threshold: f64,
-    debug_drops: bool,
-    s: &mut ObjectSet,
-    frontier: &mut Frontier<'_>,
-    local_drops: &[QueuePos],
-) -> Verdict {
-    let e = &entries[(pos - first) as usize];
-    debug_assert!(!e.dropped, "pre-dropped entries are skipped by callers");
-    s.clear();
-    s.union_with(e.rs());
-    let center = e.influence.center;
-    let mut invalid = false;
-    let mut chain = 0usize;
-    let mut visited = 0usize;
-    let mut stop = first;
-    frontier.clear();
-    for o in e.rs().iter() {
-        frontier.seed(o, pos);
-    }
-    while let Some(j) = frontier.peek_pos() {
-        visited += 1;
-        let ej = &entries[(j - first) as usize];
-        if !ej.dropped && !local_drops.contains(&j) {
-            // Every cursor parked here proves WS(a_j) ∩ S ≠ ∅ — S only
-            // grows during this walk, so cursors are never stale.
-            debug_assert!(ej.ws().intersects(s));
-            chain += 1;
-            let d = center.dist(ej.influence.center);
-            if d > threshold {
-                if debug_drops {
-                    eprintln!(
-                        "DROP pos {} center {:?} vs pos {} center {:?} dist {:.1} chain {}",
-                        pos, center, j, ej.influence.center, d, chain
-                    );
-                }
-                invalid = true;
-                stop = j;
-                break;
-            }
-            for o in ej.rs().iter_not_in(s) {
-                frontier.seed(o, j);
-            }
-            // (S − WS) ∪ RS simplifies to S ∪ RS since RS ⊇ WS.
-            s.union_with(ej.rs());
-        }
-        frontier.advance_all_at(j);
-    }
-    Verdict {
-        pos,
-        chain,
-        span: (pos - stop) as usize,
-        visited,
-        invalid,
-    }
-}
-
-/// One analyze worker's unit of work on the persistent executor: walks its
-/// round-robin share of components and returns the verdicts plus the
-/// worker's busy time in nanoseconds.
-type AnalyzeTask<'a> = Box<dyn FnOnce() -> (Vec<Verdict>, u64) + Send + 'a>;
-
-/// [`analyze_new_actions`] with footprint-disjoint batching: partition the
-/// new actions into read-overlap components and walk independent
-/// components as up to `threads` tasks on the persistent executor `exec`,
-/// merging the per-action verdicts back into position order. Bit-identical
-/// to the sequential oracle — same `dropped` (decided and marked in
-/// position order), `chain_lens`, `scanned`, and `visited` — because
-/// components are a valid refinement of the walks' dependencies (see
-/// [`AnalyzeScratch::partition`]), each component is processed in position
-/// order within one task, and the executor returns task outputs in
-/// submission order. The executor's width is a scheduling detail only: a
-/// width-1 pool runs the same tasks inline on the caller.
-///
-/// `threads ≤ 1` runs the same verdict/overlay machinery sequentially
-/// (no partition, no executor submission) on the scratch buffers; callers
-/// gate on batch size.
-pub fn analyze_new_actions_batched<A: Action>(
-    queue: &mut ActionQueue<A>,
-    from: QueuePos,
-    threshold: f64,
-    threads: usize,
-    scratch: &mut AnalyzeScratch,
-    exec: &seve_exec::Executor,
-) -> DropAnalysis {
-    let mut result = DropAnalysis {
-        par_workers: 1,
-        ..DropAnalysis::default()
-    };
-    let first = queue.first_pos();
-    let Some(last) = queue.last_pos() else {
-        return result;
-    };
-    let start = from.max(first);
-    if start > last {
-        return result;
-    }
-    let debug_drops = std::env::var("SEVE_DEBUG_DROPS").is_ok();
-    let ActionQueue { entries, index, .. } = queue;
-
-    scratch.verdicts.clear();
-    let mut workers = 1usize;
-    if threads > 1 {
-        let ncomp = scratch.partition(entries, first, start, last);
-        result.components = ncomp;
-        result.max_batch = scratch.members[..ncomp]
-            .iter()
-            .map(Vec::len)
-            .max()
-            .unwrap_or(0);
-        workers = threads.min(ncomp).max(1);
-    }
-
-    if workers <= 1 {
-        scratch.local_drops.clear();
-        let mut frontier = Frontier::with_capacity(index, scratch.frontier_cap);
-        for pos in start..=last {
-            if entries[(pos - first) as usize].dropped {
-                continue;
-            }
-            let v = chain_walk(
-                entries,
-                first,
-                pos,
-                threshold,
-                debug_drops,
-                &mut scratch.support,
-                &mut frontier,
-                &scratch.local_drops,
-            );
-            if v.invalid {
-                scratch.local_drops.push(pos);
-            }
-            scratch.verdicts.push(v);
-        }
-        scratch.frontier_cap = scratch.frontier_cap.max(frontier.high_water());
-    } else {
-        result.par_workers = workers;
-        let ncomp = result.components;
-        let members: &[Vec<QueuePos>] = &scratch.members[..ncomp];
-        let entries_ref: &VecDeque<QueueEntry<A>> = entries;
-        let index_ref: &PostingsMap = index;
-        // Components round-robin across workers: deterministic assignment,
-        // and adjacent (similar-sized) components spread evenly. Tasks run
-        // on the server's persistent pool — no thread spawn per tick — and
-        // come back in submission order.
-        let tasks: Vec<AnalyzeTask<'_>> = (0..workers)
-            .map(|w| {
-                let task: AnalyzeTask<'_> = Box::new(move || {
-                    let t0 = std::time::Instant::now();
-                    let mut verdicts = Vec::new();
-                    let mut support = ObjectSet::new();
-                    let mut local_drops: Vec<QueuePos> = Vec::new();
-                    let mut frontier = Frontier::new(index_ref);
-                    for comp in members.iter().skip(w).step_by(workers) {
-                        local_drops.clear();
-                        for &pos in comp {
-                            let v = chain_walk(
-                                entries_ref,
-                                first,
-                                pos,
-                                threshold,
-                                debug_drops,
-                                &mut support,
-                                &mut frontier,
-                                &local_drops,
-                            );
-                            if v.invalid {
-                                local_drops.push(pos);
-                            }
-                            verdicts.push(v);
-                        }
-                    }
-                    (verdicts, t0.elapsed().as_nanos() as u64)
-                });
-                task
-            })
-            .collect();
-        let outputs = exec.run(tasks).expect("analysis worker panicked");
-        for (verdicts, busy) in outputs {
-            result.worker_busy_nanos += busy;
-            scratch.verdicts.extend(verdicts);
-        }
-        // Deterministic merge: verdicts back into queue order (positions
-        // are unique, so the order is total).
-        scratch.verdicts.sort_unstable_by_key(|v| v.pos);
-    }
-
-    for v in &scratch.verdicts {
-        result.scanned += v.span;
-        result.visited += v.visited;
-        result.chain_lens.push(v.chain);
-        if v.invalid {
-            entries[(v.pos - first) as usize].dropped = true;
-            result.dropped.push(v.pos);
-        }
-    }
-    result
 }
 
 /// Algorithm 7's `onNextTick`: for every action with `pos ≥ from`, walk its
@@ -1056,21 +659,23 @@ pub fn analyze_new_actions<A: Action>(
         Some(l) => l,
         None => return result,
     };
-    // Hoisted out of the chain walk: one getenv syscall per tick, not one
-    // per conflicting chain member.
-    let debug_drops = std::env::var("SEVE_DEBUG_DROPS").is_ok();
     let start = from.max(first);
     let ActionQueue { entries, index, .. } = queue;
+    // One support set and one frontier serve every walk of the tick:
+    // cleared, never freed, between actions.
+    let mut s = ObjectSet::new();
     let mut frontier = Frontier::new(index);
     for pos in start..=last {
         // Split the queue at `pos`: the walk below reads entries before
         // `pos` while we decide the fate of `pos` itself.
-        let (mut s, center) = {
+        let center = {
             let e = &entries[(pos - first) as usize];
             if e.dropped {
                 continue;
             }
-            (e.rs().clone(), e.influence.center)
+            s.clear();
+            s.union_with(e.rs());
+            e.influence.center
         };
         let mut invalid = false;
         let mut chain = 0usize;
@@ -1092,12 +697,6 @@ pub fn analyze_new_actions<A: Action>(
                 chain += 1;
                 let d = center.dist(ej.influence.center);
                 if d > threshold {
-                    if debug_drops {
-                        eprintln!(
-                            "DROP pos {} center {:?} vs pos {} center {:?} dist {:.1} chain {}",
-                            pos, center, j, ej.influence.center, d, chain
-                        );
-                    }
                     invalid = true;
                     stop = j;
                     break;
@@ -1135,7 +734,6 @@ pub fn analyze_new_actions_linear<A: Action>(
         Some(l) => l,
         None => return result,
     };
-    let debug_drops = std::env::var("SEVE_DEBUG_DROPS").is_ok();
     let start = from.max(first);
     for pos in start..=last {
         let (mut s, center) = {
@@ -1159,12 +757,6 @@ pub fn analyze_new_actions_linear<A: Action>(
                 chain += 1;
                 let d = center.dist(ej.influence.center);
                 if d > threshold {
-                    if debug_drops {
-                        eprintln!(
-                            "DROP pos {} center {:?} vs pos {} center {:?} dist {:.1} chain {}",
-                            pos, center, j, ej.influence.center, d, chain
-                        );
-                    }
                     invalid = true;
                     break;
                 }
@@ -1401,100 +993,5 @@ mod tests {
         let r = analyze_new_actions(&mut q, p2 + 1, 50.0);
         assert!(r.dropped.is_empty());
         assert_eq!(r.chain_lens.len(), 0);
-    }
-
-    /// The component partition must be a valid refinement of footprint
-    /// overlap: actions in different components have pairwise-disjoint
-    /// read sets (exact `ObjectSet::intersects`, no signature shortcut),
-    /// every analyzed action appears in exactly one component, and member
-    /// lists stay ascending.
-    #[test]
-    fn partition_is_a_refinement_of_footprint_overlap() {
-        let mut q: ActionQueue<TestAction> = ActionQueue::new();
-        // Three overlap groups, interleaved by construction so component
-        // membership is non-contiguous in position order: {1,2} via object
-        // 10→11 chaining, {3} isolated, {4,5} sharing object 40. One
-        // pre-dropped entry must not appear at all.
-        let p = [
-            push(&mut q, act(0, 0, &[], &[10], 0.0)),
-            push(&mut q, act(1, 0, &[], &[30], 0.0)),
-            push(&mut q, act(2, 0, &[], &[40], 0.0)),
-            push(&mut q, act(3, 0, &[10], &[11], 0.0)),
-            push(&mut q, act(4, 0, &[40], &[41], 0.0)),
-            push(&mut q, act(5, 0, &[], &[99], 0.0)),
-        ];
-        q.get_mut(p[5]).unwrap().dropped = true;
-        let mut scratch = AnalyzeScratch::new();
-        let first = q.first_pos();
-        let ActionQueue { entries, .. } = &q;
-        let n = scratch.partition(entries, first, p[0], p[5]);
-        let comps: Vec<&[QueuePos]> = scratch.members[..n].iter().map(Vec::as_slice).collect();
-        assert_eq!(comps, vec![&[p[0], p[3]][..], &[p[1]], &[p[2], p[4]]]);
-        for c in &comps {
-            assert!(c.windows(2).all(|w| w[0] < w[1]), "members ascending");
-        }
-        for (i, a) in comps.iter().enumerate() {
-            for b in comps.iter().skip(i + 1) {
-                for &pa in a.iter() {
-                    for &pb in b.iter() {
-                        assert!(
-                            !q.get(pa).unwrap().rs().intersects(q.get(pb).unwrap().rs()),
-                            "cross-component footprint overlap {pa} vs {pb}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batched analysis — sequential and parallel — is bit-identical to
-    /// the oracle on the chain-breaking workload, where correctness
-    /// depends on seeing earlier same-tick drop decisions.
-    #[test]
-    fn batched_analysis_matches_oracle_on_chain_breaking() {
-        let build = || {
-            let mut q = ActionQueue::new();
-            for i in 0..6u32 {
-                push(&mut q, act(i as u16, 0, &[], &[i, i + 1], 40.0 * i as f64));
-            }
-            // A second, independent chain far away in object space.
-            for i in 0..6u32 {
-                push(
-                    &mut q,
-                    act(
-                        (8 + i) as u16,
-                        0,
-                        &[],
-                        &[100 + i, 100 + i + 1],
-                        40.0 * i as f64,
-                    ),
-                );
-            }
-            q
-        };
-        let mut oracle_q = build();
-        let oracle = analyze_new_actions(&mut oracle_q, 1, 50.0);
-        let exec = seve_exec::Executor::new(2);
-        for threads in [1, 4] {
-            let mut q = build();
-            let mut scratch = AnalyzeScratch::new();
-            let r = analyze_new_actions_batched(&mut q, 1, 50.0, threads, &mut scratch, &exec);
-            assert_eq!(r.dropped, oracle.dropped, "threads={threads}");
-            assert_eq!(r.chain_lens, oracle.chain_lens, "threads={threads}");
-            assert_eq!(r.scanned, oracle.scanned, "threads={threads}");
-            assert_eq!(r.visited, oracle.visited, "threads={threads}");
-            for pos in q.first_pos()..=q.last_pos().unwrap() {
-                assert_eq!(
-                    q.get(pos).unwrap().dropped,
-                    oracle_q.get(pos).unwrap().dropped,
-                    "threads={threads} pos={pos}"
-                );
-            }
-            if threads == 4 {
-                assert_eq!(r.components, 2, "two independent chains");
-                assert_eq!(r.par_workers, 2);
-                assert_eq!(r.max_batch, 6);
-            }
-        }
     }
 }

@@ -101,25 +101,6 @@ pub struct ProtocolConfig {
     pub scan_cost_us_per_entry: f64,
     /// Server-side cost model: fixed microseconds per message handled.
     pub msg_cost_us: u64,
-    /// Worker threads for the per-tick Algorithm 7 analysis (footprint-
-    /// disjoint components run in parallel; protocol outcomes are
-    /// bit-identical regardless). `None` resolves at server construction:
-    /// the `SEVE_ANALYZE_THREADS` environment variable if set, otherwise
-    /// available parallelism. `Some(1)` forces the sequential path.
-    pub analyze_threads: Option<usize>,
-    /// Lanes of the server's persistent compute executor (the pool all
-    /// per-tick parallelism — batch analysis and push selection — runs
-    /// on). Protocol outcomes are bit-identical regardless. `None`
-    /// resolves at server construction: `SEVE_EXEC_THREADS` if set,
-    /// otherwise available parallelism (capped at 8). `Some(1)` runs
-    /// every stage inline on the server thread with no pool threads.
-    pub exec_threads: Option<usize>,
-    /// Let the parallel-size gates (analyze batch / route probes)
-    /// self-tune from measured sequential vs. parallel cost instead of
-    /// holding their static seed thresholds. Gates never affect protocol
-    /// outcomes, only which execution strategy computes them; `false`
-    /// pins both gates at their historical constants.
-    pub adaptive_gates: bool,
 }
 
 impl Default for ProtocolConfig {
@@ -139,9 +120,6 @@ impl Default for ProtocolConfig {
             gc_every: 64,
             scan_cost_us_per_entry: 0.5,
             msg_cost_us: 15,
-            analyze_threads: None,
-            exec_threads: None,
-            adaptive_gates: true,
         }
     }
 }

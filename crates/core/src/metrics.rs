@@ -167,28 +167,17 @@ pub struct StageMetrics {
     pub analyze_entries_visited: u64,
     /// Linear-equivalent Algorithm 7 scan length.
     pub analyze_entries_linear: u64,
-    /// Resolved analyze-stage worker-thread budget (configuration echoed
-    /// into the profile so reports can print it).
-    pub analyze_threads: u64,
-    /// Footprint-disjoint components summed over parallel analyze ticks.
-    pub analyze_components: u64,
-    /// Ticks whose Algorithm 7 analysis ran on >1 worker.
+    /// Ticks whose Algorithm 7 analysis ran on more than one worker.
+    /// Always 0: the analysis is one sequential walk. Kept so existing
+    /// profile readers still find the field.
     pub analyze_parallel_ticks: u64,
-    /// Largest single component (batch) seen by the analyze stage.
-    pub analyze_max_batch: u64,
-    /// Summed wall-clock busy nanoseconds across analyze workers
-    /// (utilization = busy / (parallel-tick wall time × workers)).
-    pub analyze_worker_busy_nanos: u64,
-    /// Resolved lane count of the persistent compute executor
-    /// (configuration echoed into the profile; 1 = fully inline).
-    pub exec_width: u64,
-    /// Tasks the executor ran (compute pool + the transport's drain pool
-    /// where one exists; transport counters merge in at report time).
+    /// Tasks the transport's drain-pool executor ran (zero for backends
+    /// without one; transport counters merge in at report time).
     pub exec_tasks: u64,
     /// Tasks a lane took from a queue it does not own — work the
     /// stealing mechanism actually rebalanced.
     pub exec_steals: u64,
-    /// Summed wall-clock nanoseconds executor lanes spent inside tasks.
+    /// Summed wall-clock nanoseconds drain-pool lanes spent inside tasks.
     pub exec_busy_nanos: u64,
     /// High-water mark of tasks queued on the executor and not yet
     /// picked up.
@@ -273,11 +262,7 @@ mod tests {
         assert_eq!(s.stage.writev_batches, 0);
         assert_eq!(s.stage.closure_entries_visited, 0);
         assert_eq!(s.stage.analyze_entries_linear, 0);
-        assert_eq!(s.stage.analyze_components, 0);
         assert_eq!(s.stage.analyze_parallel_ticks, 0);
-        assert_eq!(s.stage.analyze_max_batch, 0);
-        assert_eq!(s.stage.analyze_worker_busy_nanos, 0);
-        assert_eq!(s.stage.exec_width, 0);
         assert_eq!(s.stage.exec_tasks, 0);
         assert_eq!(s.stage.exec_steals, 0);
         assert_eq!(s.stage.exec_busy_nanos, 0);

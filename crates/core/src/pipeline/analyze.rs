@@ -16,21 +16,13 @@
 //! cost keeps charging the linear-equivalent scan length, so event timing
 //! is identical to the pre-index pipeline.
 
-use crate::closure::{analyze_new_actions_batched, closure_for, ClosureResult};
+use crate::closure::{analyze_new_actions, closure_for, ClosureResult};
 use crate::msg::ToClient;
 use crate::pipeline::{serialize, state::PipelineState};
 use seve_net::time::SimTime;
 use seve_world::ids::{ClientId, QueuePos};
 use seve_world::{Action, GameWorld};
 use std::time::Instant;
-
-/// Seed for the analyze stage's adaptive parallel gate: the historical
-/// static "fan out above this many new actions per tick" constant. The
-/// gate self-tunes around it from measured sequential vs. parallel cost
-/// (see [`seve_exec::AdaptiveGate`]); pin with `SEVE_PAR_MIN_ACTIONS` or
-/// disable adaptation via `ProtocolConfig::adaptive_gates` to hold it
-/// static.
-const PAR_MIN_ACTIONS: usize = 64;
 
 /// Compute the transitive support (Algorithm 6) for `candidates` on behalf
 /// of `client`, marking the returned positions as sent. Stage-timed; also
@@ -88,28 +80,16 @@ impl<W: GameWorld> DropPolicy<W> for NoDrop {}
 /// Algorithm 7 chain-breaking (the Information Bound Model): per tick,
 /// walk each new action's conflict chain and drop actions whose chain
 /// reaches farther than the configured threshold.
+#[derive(Default)]
 pub struct ChainBreak {
     /// Every position at or below this has passed Algorithm 7 analysis.
     analyzed_upto: QueuePos,
-    /// Self-tuning "parallelize above N actions" gate, seeded with the
-    /// historical [`PAR_MIN_ACTIONS`]. Chooses the execution strategy
-    /// only; verdicts are bit-identical either way.
-    gate: seve_exec::AdaptiveGate,
 }
 
 impl ChainBreak {
     /// A fresh analyzer.
     pub fn new() -> Self {
-        Self {
-            analyzed_upto: 0,
-            gate: seve_exec::AdaptiveGate::new(PAR_MIN_ACTIONS, "SEVE_PAR_MIN_ACTIONS"),
-        }
-    }
-}
-
-impl Default for ChainBreak {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -120,66 +100,11 @@ impl<W: GameWorld> DropPolicy<W> for ChainBreak {
         _now: SimTime,
         out: &mut Vec<(ClientId, ToClient<W::Action>)>,
     ) -> u64 {
-        // Algorithm 7's onNextTick over actions submitted since last tick,
-        // batched by footprint-disjoint component onto worker threads when
-        // the tick is large enough to pay for the fan-out. Outcomes are
-        // bit-identical to the sequential oracle either way.
+        // Algorithm 7's onNextTick over actions submitted since last tick.
         let from = (self.analyzed_upto + 1).max(st.queue.first_pos());
-        let batch = (st
-            .queue
-            .last_pos()
-            .map_or(0, |l| l + 1)
-            .saturating_sub(from)) as usize;
-        let width = st.exec.width();
-        let adaptive = st.cfg.adaptive_gates;
-        let threads = if batch >= self.gate.threshold(width, adaptive) {
-            st.analyze_threads
-        } else {
-            1
-        };
-        let PipelineState {
-            ref mut queue,
-            ref mut analyze_scratch,
-            ref cfg,
-            ref exec,
-            ..
-        } = *st;
-        let t0 = Instant::now();
-        let analysis = analyze_new_actions_batched(
-            queue,
-            from,
-            cfg.threshold,
-            threads,
-            analyze_scratch,
-            exec.as_ref(),
-        );
-        // Feed the gate the measurement it needs for the strategy it ran:
-        // parallel runs yield both the overhead (wall − busy/width) and a
-        // per-item cost estimate (busy/n); sequential runs refresh the
-        // per-item cost directly.
-        let gate_wall = t0.elapsed().as_nanos() as u64;
-        if analysis.par_workers > 1 {
-            self.gate.record_par(
-                batch,
-                gate_wall,
-                analysis.worker_busy_nanos,
-                width.min(analysis.par_workers),
-            );
-        } else if batch > 0 {
-            self.gate.record_seq(batch, gate_wall);
-        }
+        let analysis = analyze_new_actions(&mut st.queue, from, st.cfg.threshold);
         st.metrics.stage.analyze_entries_visited += analysis.visited as u64;
         st.metrics.stage.analyze_entries_linear += analysis.scanned as u64;
-        if analysis.par_workers > 1 {
-            st.metrics.stage.analyze_parallel_ticks += 1;
-            st.metrics.stage.analyze_components += analysis.components as u64;
-            st.metrics.stage.analyze_worker_busy_nanos += analysis.worker_busy_nanos;
-            st.metrics.stage.analyze_max_batch = st
-                .metrics
-                .stage
-                .analyze_max_batch
-                .max(analysis.max_batch as u64);
-        }
         for &len in &analysis.chain_lens {
             st.metrics.chain_len.record(len as f64);
         }

@@ -229,9 +229,6 @@ impl<W: GameWorld> ServerNode<W> for PipelineServer<W> {
             .record((t.elapsed().as_nanos() as u64).saturating_sub(inner));
         let cost = analyze_cost + route_cost;
         self.state.metrics.compute_us += cost;
-        // Executor counters are observed through cloned metrics, so
-        // refresh the snapshot whenever stage work just ran.
-        self.state.sync_exec_stats();
         cost
     }
 
@@ -247,7 +244,6 @@ impl<W: GameWorld> ServerNode<W> for PipelineServer<W> {
             .route
             .record((t.elapsed().as_nanos() as u64).saturating_sub(inner));
         self.state.metrics.compute_us += cost;
-        self.state.sync_exec_stats();
         cost
     }
 

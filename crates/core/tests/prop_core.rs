@@ -5,8 +5,7 @@
 
 use proptest::prelude::*;
 use seve_core::closure::{
-    analyze_new_actions, analyze_new_actions_batched, analyze_new_actions_linear, closure_for,
-    closure_for_linear, ActionQueue, AnalyzeScratch,
+    analyze_new_actions, analyze_new_actions_linear, closure_for, closure_for_linear, ActionQueue,
 };
 use seve_core::replay::ReplayLog;
 use seve_net::time::SimTime;
@@ -17,25 +16,6 @@ use seve_world::objset::ObjectSet;
 use seve_world::state::{Snapshot, WorldState, WriteLog};
 use seve_world::value::Value;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// Shared executors for the pool-size sweep: proptest runs hundreds of
-/// cases, and the whole point of the pool is that it persists — spawn
-/// each width once for the entire test binary.
-fn pool(width: usize) -> &'static seve_exec::Executor {
-    use std::sync::OnceLock;
-    static POOLS: OnceLock<[seve_exec::Executor; 3]> = OnceLock::new();
-    let pools = POOLS.get_or_init(|| {
-        [
-            seve_exec::Executor::new(1),
-            seve_exec::Executor::new(2),
-            seve_exec::Executor::new(8),
-        ]
-    });
-    pools
-        .iter()
-        .find(|p| p.width() == width)
-        .expect("pool width not in the sweep set")
-}
 
 /// A synthetic action over small object ids with an explicit center. Each
 /// action reads and writes one of a few attributes, so interleavings
@@ -331,63 +311,6 @@ proptest! {
         // Drop marks applied identically.
         for p in q_idx.first_pos()..=q_idx.last_pos().unwrap() {
             prop_assert_eq!(q_idx.get(p).unwrap().dropped, q_lin.get(p).unwrap().dropped);
-        }
-    }
-
-    /// The footprint-disjoint batched analysis (with worker threads forced
-    /// on, no size gate) is bit-identical to the sequential Algorithm 7
-    /// oracle under randomized high-contention interleavings: same drop
-    /// set, same chain lengths, same linear-equivalent and visited counts,
-    /// same per-entry drop marks. The 8-object id space makes heavy
-    /// footprint overlap (few, large components) the common case.
-    #[test]
-    fn batched_analysis_matches_sequential(
-        actions in gen_actions(12),
-        dropped_mask in prop::collection::vec(any::<bool>(), 12),
-        pops in 0usize..5,
-        from_off in 0u64..12,
-        threshold in 10.0f64..150.0,
-        threads in 2usize..5,
-    ) {
-        let build = || {
-            let mut q: ActionQueue<GenAction> = ActionQueue::new();
-            for (i, a) in actions.iter().enumerate() {
-                let pos = q.push(a.clone(), SimTime::ZERO);
-                // Pre-dropped entries model earlier ticks' verdicts.
-                q.get_mut(pos).unwrap().dropped = dropped_mask[i];
-            }
-            for _ in 0..pops {
-                q.pop_front();
-            }
-            q
-        };
-        let mut q_seq = build();
-        let from = q_seq.first_pos() + from_off.min(q_seq.len() as u64 - 1);
-        let aseq = analyze_new_actions(&mut q_seq, from, threshold);
-        // The executor's width is a scheduling detail: pool sizes 1
-        // (inline), 2, and 8 must all be bit-identical to the oracle.
-        for pool_width in [1usize, 2, 8] {
-            let exec = pool(pool_width);
-            let mut q_par = build();
-            let mut scratch = AnalyzeScratch::new();
-            let apar =
-                analyze_new_actions_batched(&mut q_par, from, threshold, threads, &mut scratch, exec);
-            prop_assert_eq!(&apar.dropped, &aseq.dropped);
-            prop_assert_eq!(&apar.chain_lens, &aseq.chain_lens);
-            prop_assert_eq!(apar.scanned, aseq.scanned);
-            prop_assert_eq!(apar.visited, aseq.visited);
-            // Drop marks applied identically.
-            for p in q_seq.first_pos()..=q_seq.last_pos().unwrap() {
-                prop_assert_eq!(q_seq.get(p).unwrap().dropped, q_par.get(p).unwrap().dropped);
-            }
-            // A reused scratch must not leak state into a second tick: run
-            // the same analysis again on a fresh queue copy through the
-            // same scratch and expect the same verdicts.
-            let mut q_again = build();
-            let again =
-                analyze_new_actions_batched(&mut q_again, from, threshold, threads, &mut scratch, exec);
-            prop_assert_eq!(&again.dropped, &aseq.dropped);
-            prop_assert_eq!(again.scanned, aseq.scanned);
         }
     }
 

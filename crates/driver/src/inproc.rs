@@ -22,12 +22,12 @@ use crate::session::{
     SessionDown, SessionParams, SessionUp, SupervisedClientTransport, SupervisedServerTransport,
 };
 use crate::transport::{ClientEvent, ClientTransport, ServerEvent, ServerTransport};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use seve_core::engine::{ClientNode, ProtocolSuite, ServerNode, WireSize};
 use seve_world::ids::ClientId;
 use seve_world::worlds::Workload;
 use seve_world::GameWorld;
 use std::convert::Infallible;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -75,11 +75,11 @@ pub fn wire<U, D>(
     InprocServerTransport<U, D>,
     Vec<InprocClientTransport<U, D>>,
 ) {
-    let (tx_up, rx_up) = unbounded();
+    let (tx_up, rx_up) = channel();
     let mut txs = Vec::with_capacity(n);
     let mut clients = Vec::with_capacity(n);
     for i in 0..n {
-        let (tx_down, rx_down) = unbounded();
+        let (tx_down, rx_down) = channel();
         txs.push(Some(tx_down));
         clients.push(InprocClientTransport {
             id: ClientId(i as u16),
@@ -318,8 +318,8 @@ where
     let server_driver = NodeDriver::server(cfg.tick, push);
     let plan = &cfg.faults;
 
-    crossbeam::thread::scope(|s| {
-        let server = s.spawn(|_| {
+    std::thread::scope(|s| {
+        let server = s.spawn(|| {
             server_driver
                 .run_server(server_engine, &mut server_transport, n)
                 .expect("in-process transport is infallible")
@@ -338,7 +338,7 @@ where
                 driver.partition_after_moves = plan
                     .partition_for(id)
                     .map(|p| (p.after_submissions, p.duration));
-                s.spawn(move |_| {
+                s.spawn(move || {
                     driver
                         .run_client(engine, wl.as_mut(), &mut transport)
                         .expect("in-process transport is infallible")
@@ -352,5 +352,4 @@ where
         let server: ServerReport = server.join().expect("server thread panicked");
         SessionReport { server, clients }
     })
-    .expect("session scope panicked")
 }

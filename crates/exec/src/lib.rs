@@ -1,11 +1,10 @@
-//! Persistent work-stealing executor for SEVE's per-tick parallelism.
+//! Persistent work-stealing executor for the real-TCP server's egress
+//! drain pool.
 //!
-//! Before this crate, every parallel hot path in the server (Algorithm 7
-//! batch analysis, push candidate selection, egress drain) spawned fresh
-//! OS threads each tick or push cycle, paying spawn/join latency thousands
-//! of times per run — enough to turn the analyze stage's parallel path
-//! into a net *slowdown* at 1024+ clients. An [`Executor`] amortizes that
-//! cost into one long-lived pool:
+//! Each push cycle hands every client lane with queued frames to a pool of
+//! drain workers that write them to the sockets. Spawning those workers
+//! per cycle paid spawn/join latency thousands of times per run; an
+//! [`Executor`] amortizes that cost into one long-lived pool:
 //!
 //! - `width - 1` worker threads live for the executor's lifetime; the
 //!   *calling* thread is the remaining lane and executes tasks while it
@@ -19,17 +18,10 @@
 //! - Idle workers park on a condvar and are woken by submissions; a
 //!   bounded timed wait backstops any missed wakeup.
 //! - **Determinism:** results are returned in submission order, whatever
-//!   order tasks actually executed in. Callers that need bit-identical
-//!   output across pool sizes get it by construction, as long as the
-//!   tasks themselves are pure over their inputs.
+//!   order tasks actually executed in.
 //! - **Panic containment:** a panicking task marks its batch failed
 //!   ([`BatchPanic`]) but still releases the batch latch; the pool itself
 //!   keeps working and later batches are unaffected.
-//!
-//! The crate also hosts [`AdaptiveGate`]: the self-tuning replacement for
-//! the static "parallelize above N items" constants, estimating per-item
-//! sequential cost and parallel dispatch overhead from the site's own
-//! measured history (see the struct docs for the math).
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -384,140 +376,6 @@ impl Drop for Executor {
     }
 }
 
-/// Resolve the pool width the same way the analyze stage resolves its
-/// thread budget: an explicit config value wins, then the
-/// `SEVE_EXEC_THREADS` environment variable, then the machine's available
-/// parallelism capped at 8. Always at least 1.
-pub fn resolve_width(cfg: Option<usize>) -> usize {
-    cfg.or_else(|| {
-        std::env::var("SEVE_EXEC_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    })
-    .unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-            .min(8)
-    })
-    .max(1)
-}
-
-/// Self-tuning "parallelize above N items" gate.
-///
-/// The static constants this replaces encoded a one-time guess about the
-/// break-even batch size. The gate instead estimates it from the site's
-/// own measurements: an EWMA of the **sequential per-item cost** `s`
-/// (ns/item, updated from sequential wall time and from parallel workers'
-/// summed busy time) and an EWMA of the **parallel dispatch overhead**
-/// `o` (ns/batch: parallel wall time minus the ideal `busy / width`).
-/// Parallel execution of `n` items wins when `n·s/width + o < n·s`, i.e.
-///
-/// ```text
-/// n > o / (s · (1 − 1/width))
-/// ```
-///
-/// which is the threshold returned once both estimates are warm, clamped
-/// to `[seed/4, seed×16]` so one noisy sample can never push the gate to
-/// a pathological extreme. Until warm — and whenever adaptation is off or
-/// the pool has a single lane — the static seed applies unchanged. An
-/// environment pin (e.g. `SEVE_PAR_MIN_ACTIONS`) overrides everything,
-/// letting tests and experiments fix the gate exactly.
-///
-/// All state is atomic (`f64` bits in `AtomicU64`) so recording works
-/// through `&self`; EWMA updates are read-blend-store and may rarely drop
-/// a concurrent sample, which is harmless for a smoothed diagnostic.
-pub struct AdaptiveGate {
-    seed: usize,
-    pin: Option<usize>,
-    lo: usize,
-    hi: usize,
-    seq_item_ns: AtomicU64,
-    overhead_ns: AtomicU64,
-}
-
-/// EWMA smoothing factor: new samples carry 20% weight.
-const EWMA_ALPHA: f64 = 0.2;
-
-/// Blend `x` into the EWMA stored as `f64` bits in `cell` (0 bits =
-/// unset: the first sample seeds the average).
-fn ewma_update(cell: &AtomicU64, x: f64) {
-    let old = f64::from_bits(cell.load(Ordering::Relaxed));
-    let new = if old > 0.0 {
-        old * (1.0 - EWMA_ALPHA) + x * EWMA_ALPHA
-    } else {
-        x
-    };
-    cell.store(new.to_bits(), Ordering::Relaxed);
-}
-
-impl AdaptiveGate {
-    /// A gate seeded with the site's historical static constant, pinnable
-    /// via the `pin_env` environment variable.
-    pub fn new(seed: usize, pin_env: &str) -> Self {
-        let pin = std::env::var(pin_env).ok().and_then(|v| v.parse().ok());
-        Self {
-            seed,
-            pin,
-            lo: (seed / 4).max(1),
-            hi: seed.saturating_mul(16),
-            seq_item_ns: AtomicU64::new(0),
-            overhead_ns: AtomicU64::new(0),
-        }
-    }
-
-    /// The static seed threshold.
-    pub fn seed(&self) -> usize {
-        self.seed
-    }
-
-    /// Is the gate pinned by its environment variable?
-    pub fn pinned(&self) -> bool {
-        self.pin.is_some()
-    }
-
-    /// Current "parallelize at or above this many items" threshold for a
-    /// pool of `width` lanes. `adaptive` off (config switch) falls back
-    /// to the seed; a pin overrides everything.
-    pub fn threshold(&self, width: usize, adaptive: bool) -> usize {
-        if let Some(p) = self.pin {
-            return p;
-        }
-        if !adaptive || width <= 1 {
-            return self.seed;
-        }
-        let s = f64::from_bits(self.seq_item_ns.load(Ordering::Relaxed));
-        let o = f64::from_bits(self.overhead_ns.load(Ordering::Relaxed));
-        if s <= 0.0 || o <= 0.0 {
-            return self.seed;
-        }
-        let gain = 1.0 - 1.0 / width as f64;
-        let n = (o / (s * gain)).ceil();
-        (n as usize).clamp(self.lo, self.hi)
-    }
-
-    /// Record a sequential run of `n` items taking `wall_ns`.
-    pub fn record_seq(&self, n: usize, wall_ns: u64) {
-        if n == 0 {
-            return;
-        }
-        ewma_update(&self.seq_item_ns, wall_ns as f64 / n as f64);
-    }
-
-    /// Record a parallel run of `n` items: `wall_ns` end-to-end on the
-    /// calling thread, `busy_ns` summed across workers (≈ the sequential
-    /// work the batch contained), on `width` lanes.
-    pub fn record_par(&self, n: usize, wall_ns: u64, busy_ns: u64, width: usize) {
-        if n == 0 || width <= 1 {
-            return;
-        }
-        ewma_update(&self.seq_item_ns, busy_ns as f64 / n as f64);
-        let ideal = busy_ns as f64 / width as f64;
-        // Floor at 1 ns so a lucky sample still marks the estimate warm.
-        ewma_update(&self.overhead_ns, (wall_ns as f64 - ideal).max(1.0));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -666,66 +524,5 @@ mod tests {
         let out: Vec<u8> = pool.run(Vec::new()).expect("empty batch");
         assert!(out.is_empty());
         assert_eq!(pool.stats().tasks, 0);
-    }
-
-    #[test]
-    fn resolve_width_prefers_config() {
-        assert_eq!(resolve_width(Some(3)), 3);
-        assert_eq!(resolve_width(Some(0)), 1); // floor
-    }
-
-    #[test]
-    fn gate_returns_seed_until_warm() {
-        let g = AdaptiveGate::new(64, "SEVE_TEST_UNSET_PIN_1");
-        assert_eq!(g.threshold(4, true), 64);
-        g.record_seq(100, 100_000); // seq estimate alone is not enough
-        assert_eq!(g.threshold(4, true), 64);
-    }
-
-    #[test]
-    fn gate_is_static_for_single_lane_or_disabled() {
-        let g = AdaptiveGate::new(64, "SEVE_TEST_UNSET_PIN_2");
-        g.record_par(1000, 1_000_000, 3_000_000, 4);
-        assert_eq!(g.threshold(1, true), 64, "one lane: no parallel win");
-        assert_eq!(g.threshold(4, false), 64, "adaptation disabled");
-    }
-
-    #[test]
-    fn gate_tracks_measured_break_even() {
-        let g = AdaptiveGate::new(64, "SEVE_TEST_UNSET_PIN_3");
-        // 1000 ns/item sequential; parallel overhead 30 µs on 4 lanes:
-        // n* = 30_000 / (1000 × 0.75) = 40.
-        for _ in 0..50 {
-            g.record_seq(100, 100_000);
-            g.record_par(100, 55_000, 100_000, 4);
-        }
-        let t = g.threshold(4, true);
-        assert!((38..=42).contains(&t), "threshold {t} not near 40");
-        // Cheap items push the break-even up, clamped at seed×16.
-        for _ in 0..200 {
-            g.record_seq(100, 100); // 1 ns/item
-        }
-        assert_eq!(g.threshold(4, true), 64 * 16);
-    }
-
-    #[test]
-    fn gate_clamps_to_floor() {
-        let g = AdaptiveGate::new(64, "SEVE_TEST_UNSET_PIN_4");
-        // Huge items, tiny overhead: break-even below 1, clamped to 16.
-        for _ in 0..50 {
-            g.record_par(10, 2_500_001, 10_000_000, 4);
-        }
-        assert_eq!(g.threshold(4, true), 16);
-    }
-
-    #[test]
-    fn gate_env_pin_overrides_everything() {
-        std::env::set_var("SEVE_TEST_PIN_OVERRIDE", "7");
-        let g = AdaptiveGate::new(64, "SEVE_TEST_PIN_OVERRIDE");
-        assert!(g.pinned());
-        g.record_par(1000, 1, 100_000_000, 8);
-        assert_eq!(g.threshold(8, true), 7);
-        assert_eq!(g.threshold(1, false), 7);
-        std::env::remove_var("SEVE_TEST_PIN_OVERRIDE");
     }
 }

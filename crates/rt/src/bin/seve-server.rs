@@ -3,7 +3,6 @@
 //! ```text
 //! seve-server --listen 0.0.0.0:4000 --clients 8 [--walls N] [--seed N]
 //!             [--mode basic|incomplete|first-bound|info-bound] [--rtt MS]
-//!             [--analyze-threads N]
 //! ```
 //!
 //! Hosts one session: accepts exactly `--clients` connections, serializes

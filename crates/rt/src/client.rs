@@ -15,7 +15,6 @@
 use crate::frame::{encode_frame_into, write_msg, FrameError, FrameReader};
 use crate::server::{RtDown, RtUp};
 use crate::wire::BufferPool;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 use seve_core::client::SeveClient;
@@ -32,6 +31,7 @@ use std::io;
 use std::marker::PhantomData;
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -75,7 +75,7 @@ where
     ) -> Result<Self, FrameError> {
         // Start from a disconnected channel; `reconnect` installs the
         // live one.
-        let (_tx, rx) = channel::unbounded::<RtDown<D>>();
+        let (_tx, rx) = mpsc::channel::<RtDown<D>>();
         let mut t = Self {
             addr,
             id,
@@ -170,7 +170,7 @@ where
         self.hello_bytes.fetch_add(hello, Ordering::Relaxed);
 
         // Reader thread: frames → channel.
-        let (tx, rx) = channel::unbounded::<RtDown<D>>();
+        let (tx, rx) = mpsc::channel::<RtDown<D>>();
         let mut reader = FrameReader::new(stream);
         self.readers.push(std::thread::spawn(move || {
             while let Ok(m) = reader.read_msg::<RtDown<D>>() {

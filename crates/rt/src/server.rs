@@ -11,7 +11,6 @@
 
 use crate::frame::{encode_frame_into, write_msg, FrameError, FrameReader};
 use crate::wire::BufferPool;
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use seve_core::engine::{ServerNode, ShareId, ShareKey};
@@ -27,6 +26,7 @@ use std::io::{self, IoSlice, Write};
 use std::marker::PhantomData;
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -99,11 +99,10 @@ pub struct TcpServerTransport<U, D> {
     /// Recycled encode buffers: after warm-up, every frame encodes into a
     /// buffer from a previous batch instead of a fresh allocation.
     pool: BufferPool,
-    /// Persistent pool draining egress lanes. Separate from the engine's
-    /// compute executor by design: drain tasks block in socket `write`,
-    /// and lanes stalled on a slow client must never occupy the lanes the
-    /// analyze/route stages compute on. Sized by [`drain_workers`] (at
-    /// least 4 even on one core — these lanes wait on I/O, not CPU).
+    /// Persistent pool draining egress lanes. Drain tasks block in socket
+    /// `write`, so a lane stalled on a slow client occupies one pool lane,
+    /// never the engine thread. Sized by [`drain_workers`] (at least 4
+    /// even on one core — these lanes wait on I/O, not CPU).
     drain_pool: seve_exec::Executor,
     writev_batches: u64,
     _down: PhantomData<D>,
@@ -433,7 +432,7 @@ where
 {
     let tick_driver = NodeDriver::server(tick, push);
     if session.supervised {
-        let (tx, rx) = channel::unbounded::<Inbound<SessionUp<S::Up>>>();
+        let (tx, rx) = mpsc::channel::<Inbound<SessionUp<S::Up>>>();
         let tokens: Arc<Vec<u64>> = Arc::new(
             (0..n as u16)
                 .map(|c| session_token(session.seed, ClientId(c)))
@@ -456,7 +455,7 @@ where
         acceptor.shutdown();
         report
     } else {
-        let (tx, rx) = channel::unbounded::<Inbound<S::Up>>();
+        let (tx, rx) = mpsc::channel::<Inbound<S::Up>>();
         let acceptor = spawn_acceptor(listener, n, world_digest, None, tx.clone())?;
         wait_for_full_house(&acceptor.writers);
         let mut transport = TcpServerTransport {

@@ -27,10 +27,10 @@ echo "== driver equivalence smoke =="
 # in-process backend must agree (bit-identical for one client).
 cargo test -q -p seve --release --test driver_equivalence
 
-echo "== parallel-analyze equivalence smoke =="
-# A dense run on 4 analyze threads must be bit-identical (digests, drops,
-# byte counts) to the sequential path, and the timer wheel to the heap.
-cargo test -q -p seve --release --test parallel_analyze
+echo "== event-queue equivalence smoke =="
+# A dense 128-avatar session driven by the timer wheel must be
+# bit-identical (digests, bytes, response samples, duration) to the heap.
+cargo test -q -p seve --release --test determinism -- timer_wheel_and_heap_agree
 
 echo "== cargo fmt --check =="
 cargo fmt --check

@@ -3,6 +3,7 @@
 //! The simulator exists to make the paper's experiments reproducible; that
 //! only holds if runs are deterministic functions of their configuration.
 
+use seve::net::event::EventQueueKind;
 use seve::prelude::*;
 use std::sync::Arc;
 
@@ -126,4 +127,41 @@ fn world_generation_is_seed_stable() {
         ..ManhattanConfig::default()
     });
     assert_ne!(w1.initial_state().digest(), w3.initial_state().digest());
+}
+
+#[test]
+fn timer_wheel_and_heap_agree_on_a_dense_session() {
+    // A fast-submitting 128-avatar world: one move per client per 60 ms
+    // against the 50 ms tick gives ~107 new actions per analysis, and the
+    // clustered spawn keeps footprints overlapping within clusters. The
+    // wheel-driven run must equal the heap-driven one event for event.
+    let world = Arc::new(ManhattanWorld::new(ManhattanConfig {
+        clients: 128,
+        walls: 0,
+        width: 400.0,
+        height: 400.0,
+        spawn: SpawnPattern::Clustered {
+            cluster_size: 6,
+            cluster_radius: 14.0,
+        },
+        ..ManhattanConfig::default()
+    }));
+    let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::InfoBound));
+    let run = |queue: EventQueueKind| {
+        let sim = SimConfig {
+            moves_per_client: 15,
+            move_period: SimDuration::from_ms(60),
+            event_queue: queue,
+            ..SimConfig::default()
+        };
+        let mut wl = ManhattanWorkload::new(&world);
+        Simulation::new(Arc::clone(&world), &suite, sim).run(&mut wl)
+    };
+    let wheel = run(EventQueueKind::Wheel);
+    let heap = run(EventQueueKind::Heap);
+    assert_eq!(wheel.stable_digests, heap.stable_digests);
+    assert_eq!(wheel.committed_digest, heap.committed_digest);
+    assert_eq!(wheel.total_bytes, heap.total_bytes);
+    assert_eq!(wheel.response_ms.samples(), heap.response_ms.samples());
+    assert_eq!(wheel.duration, heap.duration);
 }
