@@ -193,11 +193,11 @@ pub struct StageMetrics {
     /// Resume handshakes accepted after a reconnect. Zero on a fault-free
     /// run.
     pub session_reconnects: u64,
-    /// Client lanes reaped by the liveness supervisor (crash, silence, or
-    /// retry-budget exhaustion). Zero on a fault-free run.
+    /// Client lanes reaped by the liveness supervisor (crash, retry-budget
+    /// exhaustion, or eviction). Zero on a fault-free run.
     pub session_reaps: u64,
-    /// Overload responses: evicted lanes or thinned push cycles. Zero on
-    /// a fault-free run.
+    /// Lanes evicted for passing the unacked-window high-water mark. Zero
+    /// on a fault-free run.
     pub session_sheds: u64,
 }
 

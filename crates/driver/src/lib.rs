@@ -20,6 +20,9 @@
 //!   realized on simulator links ([`fault::FaultyLink`]) and on threaded
 //!   transports ([`fault::FaultyClientTransport`]) from one
 //!   [`fault::FaultPlan`].
+//! * [`session`] — supervision: one sans-IO session core (acked go-back-N
+//!   delivery, resume, liveness) that the simulator drives directly and
+//!   the threaded backends through transport decorators.
 //! * [`report`] — uniform [`report::ServerReport`]/[`report::ClientReport`]
 //!   with the pipeline stage profile and replay-work counters, whatever the
 //!   substrate.
@@ -44,9 +47,8 @@ pub use machine::Machine;
 pub use node::NodeDriver;
 pub use report::{ClientReport, ReplayWork, ServerReport, SessionReport};
 pub use session::{
-    session_token, Backoff, BackoffParams, Resequencer, RetryBudgetExhausted, SendWindow,
-    SessionDown, SessionParams, SessionStats, SessionUp, ShedPolicy, SupervisedClientTransport,
-    SupervisedServerTransport,
+    session_token, Backoff, BackoffParams, RetryBudgetExhausted, SessionDown, SessionParams,
+    SessionStats, SessionUp, SupervisedClientTransport, SupervisedServerTransport,
 };
 pub use sim::{AveragedResult, RunResult, SimConfig, Simulation};
 pub use timer::{CatchUp, MoveTimer, PeriodicTimer, Timer};

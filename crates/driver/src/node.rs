@@ -127,15 +127,9 @@ impl NodeDriver {
                 tick_t.advance(clock.now());
             }
             if pushes && push_t.due(now) {
-                // ThinPush shedding: while the transport is past its
-                // egress high-water mark, skip whole push cycles — safe
-                // because routing's `sent` tracking only advances on
-                // messages actually handed to the transport.
-                if !transport.overloaded() {
-                    out.clear();
-                    engine.push_tick(now, &mut out);
-                    bytes_out += transport.send_batch(&out)?;
-                }
+                out.clear();
+                engine.push_tick(now, &mut out);
+                bytes_out += transport.send_batch(&out)?;
                 push_t.advance(clock.now());
             }
             let tick_next = tick_t.next_deadline().expect("clamped timers never end");

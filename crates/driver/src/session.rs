@@ -1,28 +1,36 @@
 //! Session supervision: the acked resume protocol, reconnect with backoff,
-//! liveness reaping, and overload shedding.
+//! liveness reaping, and overload eviction.
 //!
 //! The protocol engines assume a reliable FIFO down-lane and clients that
 //! say goodbye (the replay log reconciles *out-of-order item arrival*, not
 //! transport loss). This module supplies that assumption on top of lossy or
-//! interrupted substrates, as a pair of transport decorators driven by the
-//! unchanged [`crate::node::NodeDriver`] loops:
+//! interrupted substrates. The protocol lives once, in a pure sans-IO core
+//! that takes events and a time (a [`Duration`] since session start) and
+//! gives back frames to send and timer deadlines:
 //!
-//! * [`SupervisedServerTransport`] — sequence-numbers every down-lane
-//!   message, keeps a bounded per-client resend ring, retransmits past the
-//!   client's last cumulative ack on timeout, reaps lanes whose client
-//!   vanished (liveness deadlines), and sheds load when a ring crosses its
-//!   high-water mark ([`ShedPolicy`]).
-//! * [`SupervisedClientTransport`] — resequences the down lane (in-order
-//!   delivery, duplicate suppression), acknowledges cumulatively, sends
-//!   heartbeats while idle, and — after a link partition — reconnects under
-//!   seeded exponential [`Backoff`] and resumes with a
-//!   [`SessionUp::Resume`] handshake carrying the session token and the
-//!   last acked sequence number, so the server retransmits exactly the
-//!   frames the client missed and nothing it already delivered.
+//! * [`ServerSession`] — sequence-numbers every down-lane message, keeps
+//!   each client's unacked window, trims it on cumulative acks, resends it
+//!   go-back-N on RTO expiry, reaps lanes that exhaust their resends or
+//!   stay detached past the liveness deadline, and answers
+//!   [`SessionUp::Resume`] with exactly the frames the client missed.
+//! * [`ClientSession`] — resequences the down lane (in-order delivery,
+//!   duplicate suppression) and reports cumulative-ack advances; while its
+//!   link is partitioned it loses down frames and buffers up messages, and
+//!   at heal it produces the resume handshake plus the buffered traffic.
+//!
+//! Every substrate drives these two halves with one rule set. The
+//! simulator calls them from its event loop ([`crate::sim`]); the threaded
+//! backends wrap them in transport decorators that add only I/O glue:
+//!
+//! * [`SupervisedServerTransport`] — envelopes, releasing reaped lanes,
+//!   synthetic goodbyes, and eviction of a client whose window passes
+//!   [`SessionParams::ring`].
+//! * [`SupervisedClientTransport`] — envelopes, idle heartbeats, and the
+//!   reconnect under seeded exponential [`Backoff`] before resuming.
 //!
 //! Retransmitted bytes are wire-path overhead, not protocol traffic: they
-//! are excluded from the driver's byte accounting (which therefore stays
-//! comparable with a fault-free run) and surface in [`SessionStats`]
+//! are excluded from the threaded drivers' byte accounting (which therefore
+//! stays comparable with a fault-free run) and surface in [`SessionStats`]
 //! instead, which flows through the stage profile into every report.
 //!
 //! Fault-free sessions are pass-through: the envelopes cost zero extra
@@ -50,18 +58,6 @@ fn splitmix64(x: u64) -> u64 {
 /// resume from the wrong peer (or the wrong session) is rejected.
 pub fn session_token(seed: u64, id: ClientId) -> u64 {
     splitmix64(seed ^ 0x5E55_1014_u64.wrapping_mul(id.0 as u64 + 1)).max(1)
-}
-
-/// What to do when a client's resend ring crosses its high-water mark.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShedPolicy {
-    /// Evict the slow client: reap its lane now (synthetic goodbye,
-    /// buffers recycled) so one stuck peer cannot pin server memory.
-    Evict,
-    /// Thin the push cycle: [`ServerTransport::overloaded`] reports true
-    /// and the driver skips whole push ticks until the backlog drains
-    /// (safe because routing state only advances on actual sends).
-    ThinPush,
 }
 
 /// Exponential-backoff shape for the reconnect loop.
@@ -193,24 +189,22 @@ pub struct SessionParams {
     /// Supervise at all? `false` restores the PR-5 detection-only
     /// behaviour (faults surface as divergence, crashes as lost seats).
     pub supervised: bool,
-    /// Resend-ring high-water mark per client (unacked frames).
+    /// Unacked-window high-water mark per client: the threaded supervisors
+    /// evict a client whose window passes it, so one stuck peer cannot pin
+    /// server memory.
     pub ring: usize,
     /// Retransmit timeout: the oldest unacked frame older than this
     /// triggers a go-back-N retransmission of the window.
     pub rto: Duration,
-    /// Retransmission attempts per window before the lane is declared
-    /// unreachable and reaped.
+    /// Go-back-N resends a window gets without progress: after `give_up`
+    /// of them the next RTO expiry declares the lane unreachable and reaps
+    /// it. Progress (an ack advance or a resume) restarts the count.
     pub give_up: u32,
     /// Client-side idle heartbeat period.
     pub heartbeat: Duration,
     /// How long a detached client (lost connection, no resume) keeps its
     /// lane before the server reaps it.
     pub liveness: Duration,
-    /// Reap even *attached* clients silent for this long (heartbeats count
-    /// as activity). `None` disables the idle reaper.
-    pub idle_reap: Option<Duration>,
-    /// Overload response when a resend ring crosses `ring`.
-    pub shed: ShedPolicy,
     /// Reconnect backoff shape.
     pub backoff: BackoffParams,
     /// Session seed: derives the per-client tokens and the backoff jitter.
@@ -226,8 +220,6 @@ struct SessionParamsWire {
     give_up: u32,
     heartbeat_us: u64,
     liveness_us: u64,
-    idle_reap_us: Option<u64>,
-    shed: ShedPolicy,
     backoff: BackoffParams,
     seed: u64,
 }
@@ -241,8 +233,6 @@ impl Serialize for SessionParams {
             give_up: self.give_up,
             heartbeat_us: self.heartbeat.as_micros() as u64,
             liveness_us: self.liveness.as_micros() as u64,
-            idle_reap_us: self.idle_reap.map(|d| d.as_micros() as u64),
-            shed: self.shed,
             backoff: self.backoff,
             seed: self.seed,
         }
@@ -260,8 +250,6 @@ impl<'de> Deserialize<'de> for SessionParams {
             give_up: w.give_up,
             heartbeat: Duration::from_micros(w.heartbeat_us),
             liveness: Duration::from_micros(w.liveness_us),
-            idle_reap: w.idle_reap_us.map(Duration::from_micros),
-            shed: w.shed,
             backoff: w.backoff,
             seed: w.seed,
         })
@@ -277,8 +265,6 @@ impl Default for SessionParams {
             give_up: 16,
             heartbeat: Duration::from_secs(1),
             liveness: Duration::from_secs(3),
-            idle_reap: None,
-            shed: ShedPolicy::Evict,
             backoff: BackoffParams::default(),
             seed: 0x005E_5510,
         }
@@ -316,14 +302,14 @@ impl SessionParams {
 pub struct SessionStats {
     /// Frames retransmitted (RTO expiry or resume catch-up).
     pub retransmits: u64,
-    /// Cumulative acknowledgements processed.
+    /// Cumulative-ack advances (acks that trimmed a window).
     pub acks: u64,
     /// Resume handshakes completed (client: heals; server: resumes
     /// accepted).
     pub reconnects: u64,
-    /// Lanes reaped by the liveness supervisor.
+    /// Lanes reaped: retries exhausted, liveness expired, or evicted.
     pub reaps: u64,
-    /// Overload responses: evicted lanes or thinned push cycles.
+    /// Lanes evicted for passing the `ring` high-water mark.
     pub sheds: u64,
     /// Duplicate down-lane frames suppressed by the resequencer.
     pub dups_dropped: u64,
@@ -403,198 +389,358 @@ impl<D: WireSize> WireSize for SessionDown<D> {
 // still applies below the wrapper per frame sent.
 impl<D> ShareKey for SessionDown<D> {}
 
-/// The client side's reorder buffer: accepts `(seq, msg)` in any order,
-/// releases the contiguous prefix, and suppresses duplicates. Shared by the
-/// threaded wrapper and the simulator weave.
+/// One server lane's go-back-N state.
 #[derive(Debug)]
-pub struct Resequencer<M> {
-    next: u64,
-    buf: BTreeMap<u64, M>,
-    /// Duplicates suppressed.
-    pub dups_dropped: u64,
-    /// Frames parked out of order.
-    pub holds: u64,
-}
-
-impl<M> Default for Resequencer<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<M> Resequencer<M> {
-    /// An empty resequencer expecting seq 1.
-    pub fn new() -> Self {
-        Self {
-            next: 1,
-            buf: BTreeMap::new(),
-            dups_dropped: 0,
-            holds: 0,
-        }
-    }
-
-    /// Accept one frame; `out` receives every frame now deliverable, in
-    /// sequence order.
-    pub fn accept(&mut self, seq: u64, msg: M, out: &mut Vec<M>) {
-        if seq < self.next || self.buf.contains_key(&seq) {
-            self.dups_dropped += 1;
-            return;
-        }
-        if seq == self.next {
-            out.push(msg);
-            self.next += 1;
-            while let Some(m) = self.buf.remove(&self.next) {
-                out.push(m);
-                self.next += 1;
-            }
-        } else {
-            self.holds += 1;
-            self.buf.insert(seq, msg);
-        }
-    }
-
-    /// The cumulative ack: every seq ≤ this has been delivered in order.
-    pub fn cum_ack(&self) -> u64 {
-        self.next - 1
-    }
-
-    /// Frames currently parked out of order.
-    pub fn held(&self) -> usize {
-        self.buf.len()
-    }
-}
-
-/// The server side's bounded resend ring for one client: unacked frames in
-/// sequence order, with the retransmission bookkeeping.
-#[derive(Debug)]
-pub struct SendWindow<M> {
+struct Lane<D> {
+    /// Sequence number the next frame gets (1-based).
     next_seq: u64,
-    ring: VecDeque<(u64, M)>,
+    /// Highest cumulative ack processed.
+    acked: u64,
+    /// Sent-but-unacked frames: seqs `acked + 1 .. next_seq`, in order.
+    window: VecDeque<D>,
+    /// Go-back-N resends since the last progress.
     attempts: u32,
-    oldest_sent: Option<Instant>,
-}
-
-impl<M> Default for SendWindow<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<M> SendWindow<M> {
-    /// An empty window; the first frame gets seq 1.
-    pub fn new() -> Self {
-        Self {
-            next_seq: 1,
-            ring: VecDeque::new(),
-            attempts: 0,
-            oldest_sent: None,
-        }
-    }
-
-    /// Append one frame; returns its sequence number.
-    pub fn push(&mut self, msg: M, now: Instant) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        if self.ring.is_empty() {
-            self.oldest_sent = Some(now);
-            self.attempts = 0;
-        }
-        self.ring.push_back((seq, msg));
-        seq
-    }
-
-    /// Process a cumulative ack: drop everything ≤ `cum`.
-    pub fn ack(&mut self, cum: u64, now: Instant) {
-        let before = self.ring.len();
-        while self.ring.front().is_some_and(|(s, _)| *s <= cum) {
-            self.ring.pop_front();
-        }
-        if self.ring.len() != before {
-            // Progress: restart the RTO clock for the new oldest frame.
-            self.oldest_sent = (!self.ring.is_empty()).then_some(now);
-            self.attempts = 0;
-        }
-    }
-
-    /// Is the RTO expired for the oldest unacked frame?
-    pub fn due(&self, now: Instant, rto: Duration) -> bool {
-        self.oldest_sent
-            .is_some_and(|t| !self.ring.is_empty() && now.duration_since(t) >= rto)
-    }
-
-    /// Record one go-back-N retransmission of the whole window; returns
-    /// the attempt count.
-    pub fn retransmitted(&mut self, now: Instant) -> u32 {
-        self.attempts += 1;
-        self.oldest_sent = Some(now);
-        self.attempts
-    }
-
-    /// Unacked frames, oldest first.
-    pub fn frames(&self) -> impl Iterator<Item = &(u64, M)> {
-        self.ring.iter()
-    }
-
-    /// Unacked frame count.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// No unacked frames?
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Drop every unacked frame (lane reaped).
-    pub fn clear(&mut self) {
-        self.ring.clear();
-        self.oldest_sent = None;
-        self.attempts = 0;
-    }
-}
-
-/// Per-client supervision state on the server.
-#[derive(Debug)]
-struct SrvLane<D> {
-    win: SendWindow<D>,
-    last_activity: Instant,
-    detached_at: Option<Instant>,
+    /// When the RTO clock of the oldest unacked frame started.
+    since: Duration,
+    /// Liveness deadline of a lane whose connection was lost.
+    detached_until: Option<Duration>,
     finished: bool,
     reaped: bool,
 }
 
-impl<D> SrvLane<D> {
-    fn new(now: Instant) -> Self {
+/// What one server-half step asks of its substrate.
+#[derive(Debug)]
+pub struct ServerOut<D> {
+    /// Frames to transmit, in order.
+    pub frames: Vec<(ClientId, SessionDown<D>)>,
+    /// Lanes reaped by the step. The substrate releases each; `true` means
+    /// the client never said goodbye, so its driver needs a synthetic one.
+    pub reaped: Vec<(ClientId, bool)>,
+}
+
+impl<D> Default for ServerOut<D> {
+    fn default() -> Self {
         Self {
-            win: SendWindow::new(),
-            last_activity: now,
-            detached_at: None,
-            finished: false,
-            reaped: false,
+            frames: Vec::new(),
+            reaped: Vec::new(),
+        }
+    }
+}
+
+/// The server half of the session core: every client's lane, driven by
+/// events and an injected time, with no I/O of its own.
+#[derive(Debug)]
+pub struct ServerSession<D> {
+    params: SessionParams,
+    lanes: Vec<Lane<D>>,
+    stats: SessionStats,
+}
+
+impl<D: Clone> ServerSession<D> {
+    /// Lanes for `n` client seats under `params`.
+    pub fn new(n: usize, params: SessionParams) -> Self {
+        Self {
+            params,
+            lanes: (0..n)
+                .map(|_| Lane {
+                    next_seq: 1,
+                    acked: 0,
+                    window: VecDeque::new(),
+                    attempts: 0,
+                    since: Duration::ZERO,
+                    detached_until: None,
+                    finished: false,
+                    reaped: false,
+                })
+                .collect(),
+            stats: SessionStats::default(),
         }
     }
 
-    fn live(&self) -> bool {
-        !self.reaped && !self.finished
+    /// Sequence one protocol message for `c`: it joins the unacked window
+    /// and comes back as the frame to transmit. `None` on a reaped lane —
+    /// nothing is sent, nothing buffers.
+    pub fn send(&mut self, now: Duration, c: ClientId, msg: D) -> Option<SessionDown<D>> {
+        let lane = &mut self.lanes[c.index()];
+        if lane.reaped {
+            return None;
+        }
+        if lane.window.is_empty() {
+            lane.since = now;
+        }
+        lane.window.push_back(msg.clone());
+        let seq = lane.next_seq;
+        lane.next_seq += 1;
+        Some(SessionDown::Seq(seq, msg))
     }
 
-    fn touch(&mut self, now: Instant) {
-        self.last_activity = now;
-        self.detached_at = None;
+    /// Process a cumulative ack from `c`: every seq ≤ `cum` arrived. An
+    /// advance trims the window, restarts the RTO clock and the resend
+    /// count, and counts as one ack; a stale or repeated ack is a no-op.
+    pub fn ack(&mut self, now: Duration, c: ClientId, cum: u64) {
+        let lane = &mut self.lanes[c.index()];
+        // A peer cannot ack what was never sent.
+        let cum = cum.min(lane.next_seq - 1);
+        if lane.reaped || cum <= lane.acked {
+            return;
+        }
+        lane.window.drain(..(cum - lane.acked) as usize);
+        lane.acked = cum;
+        lane.attempts = 0;
+        lane.since = now;
+        self.stats.acks += 1;
+    }
+
+    /// Handle one up-lane envelope from `c`; returns the protocol message
+    /// for the engine, if it carried one. Any traffic re-attaches a
+    /// detached lane; a reaped lane swallows everything. A resume with the
+    /// right token acks `last_acked`, resets the resend count and queues
+    /// the rest of the window in `out`.
+    pub fn recv<U>(
+        &mut self,
+        now: Duration,
+        c: ClientId,
+        up: SessionUp<U>,
+        out: &mut ServerOut<D>,
+    ) -> Option<U> {
+        let lane = &mut self.lanes[c.index()];
+        if lane.reaped {
+            return None;
+        }
+        lane.detached_until = None;
+        match up {
+            SessionUp::Msg(u) => return Some(u),
+            SessionUp::Ack(cum) => self.ack(now, c, cum),
+            SessionUp::Heartbeat => {}
+            SessionUp::Resume { token, last_acked } => {
+                if token == session_token(self.params.seed, c) {
+                    self.ack(now, c, last_acked);
+                    self.stats.reconnects += 1;
+                    self.lanes[c.index()].attempts = 0;
+                    self.resend(now, c, out);
+                }
+            }
+        }
+        None
+    }
+
+    /// The client said goodbye. `false` when the lane was already reaped or
+    /// finished: the driver must not count the seat twice.
+    pub fn finish(&mut self, c: ClientId) -> bool {
+        let lane = &mut self.lanes[c.index()];
+        let first = !lane.reaped && !lane.finished;
+        lane.finished = true;
+        first
+    }
+
+    /// The connection to `c` was lost abruptly: hold the lane for a resume
+    /// until the liveness deadline, which is returned when newly set.
+    pub fn detach(&mut self, now: Duration, c: ClientId) -> Option<Duration> {
+        let lane = &mut self.lanes[c.index()];
+        if lane.reaped || lane.finished || lane.detached_until.is_some() {
+            return None;
+        }
+        let until = now + self.params.liveness;
+        lane.detached_until = Some(until);
+        Some(until)
+    }
+
+    /// Fire `c`'s due timers: a detached lane past its liveness deadline
+    /// is reaped; on RTO expiry a lane that already had its `give_up`
+    /// resends is reaped, any other resends its window (go-back-N).
+    pub fn expire(&mut self, now: Duration, c: ClientId, out: &mut ServerOut<D>) {
+        let lane = &mut self.lanes[c.index()];
+        if lane.reaped {
+            return;
+        }
+        if lane.detached_until.is_some_and(|t| now >= t) {
+            self.reap(c, out);
+        } else if !lane.window.is_empty() && now >= lane.since + self.params.rto {
+            if lane.attempts >= self.params.give_up {
+                self.reap(c, out);
+            } else {
+                lane.attempts += 1;
+                self.resend(now, c, out);
+            }
+        }
+    }
+
+    /// [`ServerSession::expire`] on every lane.
+    pub fn expire_all(&mut self, now: Duration, out: &mut ServerOut<D>) {
+        for i in 0..self.lanes.len() {
+            self.expire(now, ClientId(i as u16), out);
+        }
+    }
+
+    /// When `c`'s RTO next expires; `None` while nothing is unacked.
+    pub fn rto_deadline(&self, c: ClientId) -> Option<Duration> {
+        let lane = &self.lanes[c.index()];
+        (!lane.reaped && !lane.window.is_empty()).then(|| lane.since + self.params.rto)
+    }
+
+    /// Evict every client still in session whose unacked window passed
+    /// the `ring` high-water mark.
+    pub fn evict_overfull(&mut self, out: &mut ServerOut<D>) {
+        for i in 0..self.lanes.len() {
+            let lane = &self.lanes[i];
+            if !lane.reaped && !lane.finished && lane.window.len() > self.params.ring {
+                self.stats.sheds += 1;
+                self.reap(ClientId(i as u16), out);
+            }
+        }
+    }
+
+    /// Has `c`'s lane been reaped?
+    pub fn is_reaped(&self, c: ClientId) -> bool {
+        self.lanes[c.index()].reaped
+    }
+
+    /// Frames sent to `c` and not yet acked.
+    pub fn unacked(&self, c: ClientId) -> usize {
+        self.lanes[c.index()].window.len()
+    }
+
+    /// Does any lane still hold unacked frames?
+    pub fn in_flight(&self) -> bool {
+        self.lanes.iter().any(|l| !l.window.is_empty())
+    }
+
+    /// Counters so far.
+    pub fn stats(&self) -> SessionStats {
+        self.stats
+    }
+
+    /// Queue every unacked frame on `c`'s lane and restart its RTO clock.
+    fn resend(&mut self, now: Duration, c: ClientId, out: &mut ServerOut<D>) {
+        let lane = &mut self.lanes[c.index()];
+        lane.since = now;
+        self.stats.retransmits += lane.window.len() as u64;
+        let first = lane.acked + 1;
+        out.frames.extend(
+            (first..)
+                .zip(&lane.window)
+                .map(|(seq, d)| (c, SessionDown::Seq(seq, d.clone()))),
+        );
+    }
+
+    fn reap(&mut self, c: ClientId, out: &mut ServerOut<D>) {
+        let lane = &mut self.lanes[c.index()];
+        lane.reaped = true;
+        lane.window = VecDeque::new();
+        self.stats.reaps += 1;
+        out.reaped.push((c, !lane.finished));
+    }
+}
+
+/// The client half of the session core: resequencing, cumulative acks, and
+/// the partition/heal state of the link, with no I/O of its own.
+#[derive(Debug)]
+pub struct ClientSession<U, D> {
+    token: u64,
+    /// The next seq to deliver: every seq below it was delivered in order.
+    next: u64,
+    /// Frames that arrived ahead of a gap.
+    held: BTreeMap<u64, D>,
+    dark_until: Option<Duration>,
+    buffered: Vec<U>,
+    stats: SessionStats,
+}
+
+impl<U, D> ClientSession<U, D> {
+    /// The client half for seat `id` of the session seeded `seed`.
+    pub fn new(id: ClientId, seed: u64) -> Self {
+        Self {
+            token: session_token(seed, id),
+            next: 1,
+            held: BTreeMap::new(),
+            dark_until: None,
+            buffered: Vec::new(),
+            stats: SessionStats::default(),
+        }
+    }
+
+    /// Accept one down frame in any order: `out` receives every message
+    /// now deliverable, in sequence order, and the cumulative ack to send
+    /// comes back when it advanced. A duplicate is suppressed but its ack
+    /// repeated (a resend means the earlier ack may have been lost). While
+    /// the link is dark the frame is lost (the server's window resends it
+    /// after resume).
+    pub fn accept(&mut self, now: Duration, seq: u64, msg: D, out: &mut Vec<D>) -> Option<u64> {
+        if self.dark_until.is_some_and(|t| now < t) {
+            return None;
+        }
+        if seq < self.next || self.held.contains_key(&seq) {
+            self.stats.dups_dropped += 1;
+            return Some(self.next - 1);
+        }
+        if seq > self.next {
+            self.stats.holds += 1;
+            self.held.insert(seq, msg);
+            return None;
+        }
+        out.push(msg);
+        self.next += 1;
+        while let Some(m) = self.held.remove(&self.next) {
+            out.push(m);
+            self.next += 1;
+        }
+        Some(self.next - 1)
+    }
+
+    /// An up message to transmit now, or `None` when it was buffered
+    /// because the link has not been healed yet.
+    pub fn send(&mut self, msg: U) -> Option<U> {
+        if self.dark_until.is_some() {
+            self.buffered.push(msg);
+            None
+        } else {
+            Some(msg)
+        }
+    }
+
+    /// The link goes dark for `d` from `now`; returns when it heals.
+    pub fn partition(&mut self, now: Duration, d: Duration) -> Duration {
+        let until = now + d;
+        self.dark_until = Some(until);
+        until
+    }
+
+    /// When a partitioned link heals (`None` while connected).
+    pub fn dark_until(&self) -> Option<Duration> {
+        self.dark_until
+    }
+
+    /// The link is back: returns the resume handshake to send first, and
+    /// moves the up messages buffered while dark into `out`, in order.
+    pub fn resume(&mut self, out: &mut Vec<U>) -> SessionUp<U> {
+        self.dark_until = None;
+        self.stats.reconnects += 1;
+        out.append(&mut self.buffered);
+        SessionUp::Resume {
+            token: self.token,
+            last_acked: self.next - 1,
+        }
+    }
+
+    /// Counters so far (reconnects and resequencing work).
+    pub fn stats(&self) -> SessionStats {
+        self.stats
     }
 }
 
 /// The server-side supervisor: wraps any [`ServerTransport`] carrying the
 /// session envelopes and presents the plain protocol transport the
-/// [`crate::node::NodeDriver`] expects.
+/// [`crate::node::NodeDriver`] expects. The protocol is the
+/// [`ServerSession`]; this layer moves its frames, releases the lanes it
+/// reaps, and evicts clients whose window passes `ring`.
 pub struct SupervisedServerTransport<T, U, D> {
     inner: T,
-    params: SessionParams,
-    lanes: Vec<SrvLane<D>>,
-    stats: SessionStats,
+    core: ServerSession<D>,
+    rto: Duration,
+    epoch: Instant,
+    out: ServerOut<D>,
+    batch: Vec<(ClientId, SessionDown<D>)>,
     ready: VecDeque<ServerEvent<U>>,
-    scratch: Vec<(ClientId, SessionDown<D>)>,
-    overloaded_now: bool,
 }
 
 impl<T, U, D> SupervisedServerTransport<T, U, D>
@@ -604,130 +750,47 @@ where
 {
     /// Supervise `inner` for `n` client seats under `params`.
     pub fn new(inner: T, n: usize, params: SessionParams) -> Self {
-        let now = Instant::now();
         Self {
             inner,
-            params,
-            lanes: (0..n).map(|_| SrvLane::new(now)).collect(),
-            stats: SessionStats::default(),
+            core: ServerSession::new(n, params),
+            rto: params.rto,
+            epoch: Instant::now(),
+            out: ServerOut::default(),
+            batch: Vec::new(),
             ready: VecDeque::new(),
-            scratch: Vec::new(),
-            overloaded_now: false,
         }
     }
 
-    /// Supervision counters so far.
-    pub fn stats(&self) -> SessionStats {
-        self.stats
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Retransmit every unacked frame on `c`'s lane (go-back-N).
-    fn retransmit(&mut self, c: usize, now: Instant) -> Result<(), T::Error> {
-        let lane = &mut self.lanes[c];
-        if lane.win.is_empty() {
-            return Ok(());
+    /// Carry out what the core asked for: transmit its frames (resends,
+    /// deliberately left out of the driver's byte totals), release reaped
+    /// lanes, and queue the synthetic goodbye that keeps the driver's seat
+    /// count converging.
+    fn flush(&mut self) -> Result<(), T::Error> {
+        if !self.out.frames.is_empty() {
+            self.inner.send_batch(&self.out.frames)?;
+            self.out.frames.clear();
         }
-        self.scratch.clear();
-        let dest = ClientId(c as u16);
-        for (seq, d) in lane.win.frames() {
-            self.scratch.push((dest, SessionDown::Seq(*seq, d.clone())));
-        }
-        lane.win.retransmitted(now);
-        self.stats.retransmits += self.scratch.len() as u64;
-        // Retransmit bytes are wire-path overhead, not protocol traffic;
-        // they are deliberately not folded into the driver's byte totals.
-        self.inner.send_batch(&self.scratch)?;
-        Ok(())
-    }
-
-    /// Reap lane `c`: recycle its ring, release the substrate lane, and —
-    /// unless the client already finished — queue the synthetic goodbye
-    /// that keeps the driver's seat count converging.
-    fn reap(&mut self, c: usize) -> Result<(), T::Error> {
-        let lane = &mut self.lanes[c];
-        if lane.reaped {
-            return Ok(());
-        }
-        lane.reaped = true;
-        lane.win.clear();
-        let finished = lane.finished;
-        self.stats.reaps += 1;
-        self.inner.release(ClientId(c as u16))?;
-        if !finished {
-            self.ready.push_back(ServerEvent::Done(ClientId(c as u16)));
-        }
-        Ok(())
-    }
-
-    /// One supervision pass: RTO retransmissions, give-up and liveness
-    /// reaping. Runs at least once per driver recv (i.e. at tick
-    /// resolution).
-    fn supervise(&mut self, now: Instant) -> Result<(), T::Error> {
-        for c in 0..self.lanes.len() {
-            let lane = &self.lanes[c];
-            if lane.reaped {
-                continue;
-            }
-            if let Some(at) = lane.detached_at {
-                if now.duration_since(at) >= self.params.liveness {
-                    self.reap(c)?;
-                    continue;
-                }
-            }
-            if let Some(idle) = self.params.idle_reap {
-                if lane.live() && now.duration_since(lane.last_activity) >= idle {
-                    self.reap(c)?;
-                    continue;
-                }
-            }
-            if self.lanes[c].win.due(now, self.params.rto) {
-                if self.lanes[c].win.attempts >= self.params.give_up {
-                    // The peer is unreachable past the whole retry budget:
-                    // stop resending into the void.
-                    self.reap(c)?;
-                } else {
-                    self.retransmit(c, now)?;
-                }
+        for (c, goodbye) in self.out.reaped.drain(..) {
+            self.inner.release(c)?;
+            if goodbye {
+                self.ready.push_back(ServerEvent::Done(c));
             }
         }
         Ok(())
     }
 
-    fn handle_control(
-        &mut self,
-        c: ClientId,
-        up: SessionUp<U>,
-        now: Instant,
-    ) -> Result<Option<U>, T::Error> {
-        let i = c.index();
-        if self.lanes[i].reaped {
-            // Late traffic from a reaped client: the lane is gone.
-            return Ok(None);
-        }
-        self.lanes[i].touch(now);
-        Ok(match up {
-            SessionUp::Msg(u) => Some(u),
-            SessionUp::Ack(a) => {
-                self.stats.acks += 1;
-                self.lanes[i].win.ack(a, now);
-                None
-            }
-            SessionUp::Heartbeat => None,
-            SessionUp::Resume { token, last_acked } => {
-                if token == session_token(self.params.seed, c) {
-                    self.lanes[i].win.ack(last_acked, now);
-                    self.stats.reconnects += 1;
-                    // Catch the client up from exactly where it left off.
-                    self.retransmit(i, now)?;
-                }
-                None
-            }
-        })
+    /// Fire every lane's due timers (at least once per driver recv, i.e.
+    /// at tick resolution).
+    fn supervise(&mut self) -> Result<(), T::Error> {
+        self.core.expire_all(self.epoch.elapsed(), &mut self.out);
+        self.flush()
+    }
+
+    /// Feed one inbound envelope to the core; the protocol message, if any.
+    fn handle(&mut self, c: ClientId, up: SessionUp<U>) -> Result<Option<U>, T::Error> {
+        let u = self.core.recv(self.epoch.elapsed(), c, up, &mut self.out);
+        self.flush()?;
+        Ok(u)
     }
 }
 
@@ -744,33 +807,26 @@ where
             if let Some(e) = self.ready.pop_front() {
                 return Ok(e);
             }
-            let now = Instant::now();
-            self.supervise(now)?;
+            self.supervise()?;
             if let Some(e) = self.ready.pop_front() {
                 return Ok(e);
             }
-            let wait = deadline.saturating_duration_since(now);
+            let wait = deadline.saturating_duration_since(Instant::now());
             match self.inner.recv(wait)? {
                 ServerEvent::Msg(c, up) => {
-                    if let Some(u) = self.handle_control(c, up, Instant::now())? {
+                    if let Some(u) = self.handle(c, up)? {
                         return Ok(ServerEvent::Msg(c, u));
                     }
                 }
                 ServerEvent::Done(c) => {
-                    let lane = &mut self.lanes[c.index()];
-                    if lane.reaped || lane.finished {
-                        continue;
+                    if self.core.finish(c) {
+                        return Ok(ServerEvent::Done(c));
                     }
-                    lane.finished = true;
-                    return Ok(ServerEvent::Done(c));
                 }
+                // Abrupt loss: the core holds the lane open for a resume
+                // until its liveness deadline.
                 ServerEvent::Gone(c) => {
-                    // Abrupt loss: hold the lane open for a resume; the
-                    // liveness deadline decides when it becomes a reap.
-                    let lane = &mut self.lanes[c.index()];
-                    if lane.live() && lane.detached_at.is_none() {
-                        lane.detached_at = Some(Instant::now());
-                    }
+                    self.core.detach(self.epoch.elapsed(), c);
                 }
                 ServerEvent::Timeout => {
                     if Instant::now() >= deadline {
@@ -783,72 +839,38 @@ where
     }
 
     fn send_batch(&mut self, out: &[(ClientId, D)]) -> Result<u64, T::Error> {
-        let now = Instant::now();
-        self.scratch.clear();
+        let now = self.epoch.elapsed();
+        self.batch.clear();
         for (dest, d) in out {
-            let lane = &mut self.lanes[dest.index()];
-            if lane.reaped {
-                continue;
-            }
-            let seq = lane.win.push(d.clone(), now);
-            self.scratch.push((*dest, SessionDown::Seq(seq, d.clone())));
-        }
-        let mut sent = std::mem::take(&mut self.scratch);
-        let bytes = self.inner.send_batch(&sent)?;
-        sent.clear();
-        self.scratch = sent;
-        // Overload response: a ring past its high-water mark means the
-        // client is not draining what we send.
-        for c in 0..self.lanes.len() {
-            if self.lanes[c].live() && self.lanes[c].win.len() > self.params.ring {
-                match self.params.shed {
-                    ShedPolicy::Evict => {
-                        self.stats.sheds += 1;
-                        self.reap(c)?;
-                    }
-                    ShedPolicy::ThinPush => {
-                        if !self.overloaded_now {
-                            self.overloaded_now = true;
-                            self.stats.sheds += 1;
-                        }
-                    }
-                }
+            if let Some(frame) = self.core.send(now, *dest, d.clone()) {
+                self.batch.push((*dest, frame));
             }
         }
-        if self.params.shed == ShedPolicy::ThinPush
-            && self
-                .lanes
-                .iter()
-                .all(|l| !l.live() || l.win.len() <= self.params.ring)
-        {
-            self.overloaded_now = false;
-        }
+        let bytes = self.inner.send_batch(&self.batch)?;
+        // Overload: a window past its high-water mark means the client is
+        // not draining what we send.
+        self.core.evict_overfull(&mut self.out);
+        self.flush()?;
         Ok(bytes)
     }
 
     fn stop_all(&mut self) -> Result<(), T::Error> {
         // Graceful close: give in-flight retransmissions a bounded window
         // to drain, so a drop right before shutdown is still recovered.
-        let grace = self.params.rto * 2 + Duration::from_millis(500);
-        let deadline = Instant::now() + grace;
-        while self.lanes.iter().any(|l| !l.reaped && !l.win.is_empty()) {
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            self.supervise(now)?;
+        let deadline = Instant::now() + self.rto * 2 + Duration::from_millis(500);
+        while self.core.in_flight() && Instant::now() < deadline {
+            self.supervise()?;
             match self.inner.recv(Duration::from_millis(10))? {
+                // Engine traffic past the session end is dropped; acks and
+                // resumes still count.
                 ServerEvent::Msg(c, up) => {
-                    // Engine traffic past the session end is dropped; acks
-                    // and resumes still count.
-                    self.handle_control(c, up, Instant::now())?;
+                    self.handle(c, up)?;
                 }
-                ServerEvent::Done(c) => self.lanes[c.index()].finished = true,
+                ServerEvent::Done(c) => {
+                    self.core.finish(c);
+                }
                 ServerEvent::Gone(c) => {
-                    let lane = &mut self.lanes[c.index()];
-                    if lane.live() && lane.detached_at.is_none() {
-                        lane.detached_at = Some(Instant::now());
-                    }
+                    self.core.detach(self.epoch.elapsed(), c);
                 }
                 ServerEvent::Timeout => {}
                 ServerEvent::Closed => break,
@@ -857,40 +879,26 @@ where
         self.inner.stop_all()
     }
 
-    fn release(&mut self, c: ClientId) -> Result<(), T::Error> {
-        self.inner.release(c)
-    }
-
-    fn overloaded(&mut self) -> bool {
-        if self.overloaded_now {
-            self.stats.sheds += 1;
-            true
-        } else {
-            false
-        }
-    }
-
     fn egress_stats(&self) -> EgressStats {
         let mut s = self.inner.egress_stats();
-        s.session = self.stats;
+        s.session = self.core.stats();
         s
     }
 }
 
-/// The client-side supervisor: resequencing, cumulative acks, heartbeats,
-/// partition buffering, and the reconnect/resume state machine.
+/// The client-side supervisor: the [`ClientSession`] plus its I/O glue —
+/// envelopes, idle heartbeats, and the reconnect under backoff that
+/// precedes each resume.
 pub struct SupervisedClientTransport<T, U, D> {
     inner: T,
-    params: SessionParams,
-    token: u64,
-    reseq: Resequencer<D>,
+    core: ClientSession<U, D>,
+    heartbeat: Duration,
+    backoff: Backoff,
+    epoch: Instant,
     ready: VecDeque<D>,
-    stats: SessionStats,
-    last_send: Instant,
-    partition_until: Option<Instant>,
-    buffered_up: Vec<SessionUp<U>>,
-    dead: bool,
     scratch: Vec<D>,
+    last_send: Instant,
+    dead: bool,
 }
 
 impl<T, U, D> SupervisedClientTransport<T, U, D>
@@ -899,61 +907,49 @@ where
 {
     /// Supervise `inner` for client `id` under `params`.
     pub fn new(inner: T, id: ClientId, params: SessionParams) -> Self {
+        let now = Instant::now();
         Self {
             inner,
-            token: session_token(params.seed, id),
-            params,
-            reseq: Resequencer::new(),
+            core: ClientSession::new(id, params.seed),
+            heartbeat: params.heartbeat,
+            backoff: Backoff::new(params.backoff, params.seed ^ session_token(params.seed, id)),
+            epoch: now,
             ready: VecDeque::new(),
-            stats: SessionStats::default(),
-            last_send: Instant::now(),
-            partition_until: None,
-            buffered_up: Vec::new(),
-            dead: false,
             scratch: Vec::new(),
+            last_send: now,
+            dead: false,
         }
     }
 
-    /// Heal a partition: reconnect the substrate under backoff, then
-    /// resume the session from the last acked seq and flush the up-lane
-    /// traffic buffered while the link was down.
-    fn heal(&mut self) -> Result<bool, T::Error> {
-        self.partition_until = None;
-        let mut backoff = Backoff::new(self.params.backoff, self.params.seed ^ self.token);
-        loop {
-            match self.inner.reconnect() {
-                Ok(_) => break,
-                Err(_) => match backoff.next() {
-                    Ok(delay) => std::thread::sleep(delay),
-                    Err(_exhausted) => {
-                        // Typed give-up, not a panic: the session is over.
-                        self.dead = true;
-                        return Ok(false);
-                    }
-                },
+    /// If a partition has elapsed, reconnect the substrate under backoff,
+    /// then resume the session from the last acked seq and flush the
+    /// up-lane traffic buffered while the link was down.
+    fn heal_if_due(&mut self) -> Result<(), T::Error> {
+        let due = self
+            .core
+            .dark_until()
+            .is_some_and(|t| self.epoch.elapsed() >= t);
+        if self.dead || !due {
+            return Ok(());
+        }
+        self.backoff.reset();
+        while self.inner.reconnect().is_err() {
+            match self.backoff.next() {
+                Ok(delay) => std::thread::sleep(delay),
+                Err(_exhausted) => {
+                    // Typed give-up, not a panic: the session is over.
+                    self.dead = true;
+                    return Ok(());
+                }
             }
         }
-        self.stats.reconnects += 1;
-        self.inner.send(SessionUp::Resume {
-            token: self.token,
-            last_acked: self.reseq.cum_ack(),
-        })?;
-        for m in std::mem::take(&mut self.buffered_up) {
-            self.inner.send(m)?;
+        let mut ups = Vec::new();
+        let resume = self.core.resume(&mut ups);
+        self.inner.send(resume)?;
+        for m in ups {
+            self.inner.send(SessionUp::Msg(m))?;
         }
         self.last_send = Instant::now();
-        Ok(true)
-    }
-
-    fn partitioned(&self, now: Instant) -> bool {
-        self.partition_until.is_some_and(|until| now < until)
-    }
-
-    /// If a partition has elapsed, run the heal handshake.
-    fn heal_if_due(&mut self, now: Instant) -> Result<(), T::Error> {
-        if self.partition_until.is_some_and(|until| now >= until) {
-            self.heal()?;
-        }
         Ok(())
     }
 }
@@ -970,52 +966,41 @@ where
             if let Some(d) = self.ready.pop_front() {
                 return Ok(ClientEvent::Msg(d));
             }
+            self.heal_if_due()?;
             if self.dead {
                 return Ok(ClientEvent::Closed);
             }
             let now = Instant::now();
-            self.heal_if_due(now)?;
-            if self.dead {
-                return Ok(ClientEvent::Closed);
-            }
             let mut wait = deadline.saturating_duration_since(now);
-            if let Some(until) = self.partition_until {
-                wait = wait.min(until.saturating_duration_since(now));
-            } else if now.duration_since(self.last_send) >= self.params.heartbeat {
+            if let Some(until) = self.core.dark_until() {
+                wait = wait.min(until.saturating_sub(self.epoch.elapsed()));
+            } else if now.duration_since(self.last_send) >= self.heartbeat {
                 self.inner.send(SessionUp::Heartbeat)?;
                 self.last_send = now;
             }
             match self.inner.recv(wait)? {
                 ClientEvent::Msg(SessionDown::Seq(seq, d)) => {
-                    if self.partitioned(Instant::now()) {
-                        // The link is down: down-lane traffic is lost. The
-                        // server's resend ring recovers it after resume.
-                        continue;
-                    }
-                    let before = self.reseq.cum_ack();
-                    self.scratch.clear();
-                    self.reseq.accept(seq, d, &mut self.scratch);
+                    let now = self.epoch.elapsed();
+                    let acked = self.core.accept(now, seq, d, &mut self.scratch);
                     self.ready.extend(self.scratch.drain(..));
-                    let cum = self.reseq.cum_ack();
-                    if cum > before {
+                    if let Some(cum) = acked {
                         self.inner.send(SessionUp::Ack(cum))?;
                         self.last_send = Instant::now();
                     }
                 }
                 ClientEvent::Stop => return Ok(ClientEvent::Stop),
                 ClientEvent::Closed => {
-                    if self.partition_until.is_some() {
-                        // The substrate connection died while the link is
-                        // dark — expected (a TCP partition kills the
-                        // socket). The heal path reconnects; meanwhile
-                        // don't busy-spin on the dead channel.
-                        std::thread::sleep(wait.min(Duration::from_millis(5)));
-                        if Instant::now() >= deadline {
-                            return Ok(ClientEvent::Timeout);
-                        }
-                        continue;
+                    if self.core.dark_until().is_none() {
+                        return Ok(ClientEvent::Closed);
                     }
-                    return Ok(ClientEvent::Closed);
+                    // The substrate connection died while the link is
+                    // dark — expected (a TCP partition kills the socket).
+                    // The heal path reconnects; meanwhile don't busy-spin
+                    // on the dead channel.
+                    std::thread::sleep(wait.min(Duration::from_millis(5)));
+                    if Instant::now() >= deadline {
+                        return Ok(ClientEvent::Timeout);
+                    }
                 }
                 ClientEvent::Timeout => {
                     if Instant::now() >= deadline {
@@ -1027,21 +1012,18 @@ where
     }
 
     fn send(&mut self, msg: U) -> Result<u64, T::Error> {
-        let now = Instant::now();
-        self.heal_if_due(now)?;
-        if self.partitioned(now) || self.dead {
-            // Hold up-lane traffic until the link heals; modelled as zero
-            // wire bytes now, sent (uncounted) at resume.
-            self.buffered_up.push(SessionUp::Msg(msg));
+        self.heal_if_due()?;
+        // While dark the message is held, modelled as zero wire bytes now
+        // and sent (uncounted) at resume.
+        let Some(msg) = self.core.send(msg) else {
             return Ok(0);
-        }
-        let bytes = self.inner.send(SessionUp::Msg(msg))?;
-        self.last_send = now;
-        Ok(bytes)
+        };
+        self.last_send = Instant::now();
+        self.inner.send(SessionUp::Msg(msg))
     }
 
     fn finish(&mut self) -> Result<u64, T::Error> {
-        self.heal_if_due(Instant::now())?;
+        self.heal_if_due()?;
         if self.dead {
             return Ok(0);
         }
@@ -1053,17 +1035,14 @@ where
     }
 
     fn partition(&mut self, d: Duration) -> Result<(), T::Error> {
-        self.partition_until = Some(Instant::now() + d);
+        self.core.partition(self.epoch.elapsed(), d);
         // Let the substrate realize the outage (a TCP transport drops the
         // connection so the server observes the loss; channels are no-ops).
         self.inner.partition(d)
     }
 
     fn session_stats(&self) -> SessionStats {
-        let mut s = self.stats;
-        s.dups_dropped += self.reseq.dups_dropped;
-        s.holds += self.reseq.holds;
-        s
+        self.core.stats()
     }
 }
 
@@ -1120,50 +1099,27 @@ mod tests {
 
     #[test]
     fn resequencer_reorders_dedups_and_acks_cumulatively() {
-        let mut r: Resequencer<u32> = Resequencer::new();
+        let mut r: ClientSession<(), u32> = ClientSession::new(ClientId(0), 1);
         let mut out = Vec::new();
-        r.accept(2, 20, &mut out);
-        assert!(out.is_empty(), "gap holds delivery");
-        assert_eq!(r.cum_ack(), 0);
-        r.accept(1, 10, &mut out);
+        let mut accept = |seq, msg, out: &mut Vec<u32>| r.accept(Duration::ZERO, seq, msg, out);
+        assert_eq!(accept(2, 20, &mut out), None, "gap holds delivery");
+        assert!(out.is_empty());
+        assert_eq!(accept(1, 10, &mut out), Some(2), "cumulative ack");
         assert_eq!(out, vec![10, 20], "contiguous prefix released in order");
-        assert_eq!(r.cum_ack(), 2);
         out.clear();
-        r.accept(2, 20, &mut out);
-        r.accept(1, 10, &mut out);
-        assert!(out.is_empty(), "duplicates suppressed");
-        assert_eq!(r.dups_dropped, 2);
-        assert_eq!(r.holds, 1);
-        r.accept(4, 40, &mut out);
-        r.accept(4, 40, &mut out);
-        assert_eq!(r.dups_dropped, 3, "buffered duplicate suppressed too");
-        r.accept(3, 30, &mut out);
-        assert_eq!(out, vec![30, 40]);
-        assert_eq!(r.cum_ack(), 4);
-        assert_eq!(r.held(), 0);
-    }
-
-    #[test]
-    fn send_window_tracks_acks_and_rto() {
-        let t0 = Instant::now();
-        let mut w: SendWindow<u32> = SendWindow::new();
-        assert_eq!(w.push(10, t0), 1);
-        assert_eq!(w.push(20, t0), 2);
-        assert_eq!(w.push(30, t0), 3);
-        assert_eq!(w.len(), 3);
-        w.ack(2, t0);
         assert_eq!(
-            w.frames().map(|(s, _)| *s).collect::<Vec<_>>(),
-            vec![3],
-            "cumulative ack trims the prefix"
+            accept(2, 20, &mut out),
+            Some(2),
+            "a duplicate repeats the ack"
         );
-        assert!(!w.due(t0, Duration::from_millis(10)), "clock restarted");
-        assert!(w.due(t0 + Duration::from_millis(11), Duration::from_millis(10)));
-        assert_eq!(w.retransmitted(t0), 1);
-        assert_eq!(w.retransmitted(t0), 2);
-        w.ack(3, t0);
-        assert!(w.is_empty());
-        assert!(!w.due(t0 + Duration::from_secs(1), Duration::ZERO));
+        assert_eq!(accept(1, 10, &mut out), Some(2));
+        assert!(out.is_empty(), "duplicates suppressed");
+        assert_eq!(accept(4, 40, &mut out), None);
+        assert_eq!(accept(4, 40, &mut out), Some(2), "held duplicate too");
+        assert_eq!(accept(3, 30, &mut out), Some(4));
+        assert_eq!(out, vec![30, 40]);
+        assert_eq!((r.stats().dups_dropped, r.stats().holds), (3, 2));
+        assert!(r.held.is_empty());
     }
 
     #[test]
@@ -1201,11 +1157,232 @@ mod tests {
         assert_eq!(SessionDown::Seq(9, Fixed).share_key(), None);
     }
 
+    const MS: Duration = Duration::from_millis(1);
+
+    fn params(rto_ms: u64, give_up: u32) -> SessionParams {
+        SessionParams {
+            rto: MS * rto_ms as u32,
+            give_up,
+            ..SessionParams::default()
+        }
+    }
+
+    fn seqs<D>(out: &ServerOut<D>) -> Vec<u64> {
+        out.frames
+            .iter()
+            .map(|(_, SessionDown::Seq(s, _))| *s)
+            .collect()
+    }
+
+    #[test]
+    fn server_lane_tracks_acks_and_rto() {
+        let c = ClientId(0);
+        let mut s: ServerSession<u32> = ServerSession::new(1, params(10, 16));
+        let t0 = Duration::ZERO;
+        for (v, want) in [(10, 1), (20, 2), (30, 3)] {
+            assert!(
+                matches!(s.send(t0, c, v), Some(SessionDown::Seq(seq, m)) if seq == want && m == v)
+            );
+        }
+        assert_eq!(s.unacked(c), 3);
+        s.ack(t0, c, 2);
+        assert_eq!(s.unacked(c), 1, "cumulative ack trims the prefix");
+        assert_eq!(s.rto_deadline(c), Some(10 * MS), "clock restarted");
+        let mut out = ServerOut::default();
+        s.expire(9 * MS, c, &mut out);
+        assert!(out.frames.is_empty(), "not due before the RTO");
+        s.expire(11 * MS, c, &mut out);
+        assert_eq!(seqs(&out), vec![3], "go-back-N resends the window");
+        assert_eq!(s.rto_deadline(c), Some(21 * MS));
+        s.ack(t0, c, 3);
+        assert_eq!(s.unacked(c), 0);
+        assert_eq!(s.rto_deadline(c), None, "an empty window has no timer");
+        assert!(!s.in_flight());
+        assert_eq!(s.stats().retransmits, 1);
+    }
+
+    #[test]
+    fn give_up_resends_then_reaps_at_next_expiry() {
+        let c = ClientId(0);
+        let mut s: ServerSession<u32> = ServerSession::new(1, params(10, 3));
+        s.send(Duration::ZERO, c, 7);
+        let mut out = ServerOut::default();
+        let mut bursts = 0;
+        let mut t = Duration::ZERO;
+        while !s.is_reaped(c) {
+            t = s.rto_deadline(c).expect("an unacked frame keeps the timer");
+            out.frames.clear();
+            s.expire(t, c, &mut out);
+            bursts += usize::from(!out.frames.is_empty());
+        }
+        assert_eq!(bursts, 3, "exactly give_up resends");
+        assert_eq!(t, 40 * MS, "reaped at the expiry after the last resend");
+        assert_eq!(
+            out.reaped,
+            vec![(c, true)],
+            "no goodbye yet: synthesize one"
+        );
+        assert_eq!(s.stats().reaps, 1);
+        assert_eq!(
+            s.send(t, c, 8).map(|_| ()),
+            None,
+            "a reaped lane sends nothing"
+        );
+    }
+
+    #[test]
+    fn resume_resets_the_attempt_count() {
+        let c = ClientId(0);
+        let p = params(10, 2);
+        let mut s: ServerSession<u32> = ServerSession::new(1, p);
+        let mut out = ServerOut::default();
+        s.send(Duration::ZERO, c, 1);
+        s.send(Duration::ZERO, c, 2);
+        s.expire(10 * MS, c, &mut out);
+        s.expire(20 * MS, c, &mut out);
+        // Both resends spent. A resume that brings no ack progress still
+        // resends the window without spending an attempt...
+        out.frames.clear();
+        let resume = SessionUp::<()>::Resume {
+            token: session_token(p.seed, c),
+            last_acked: 0,
+        };
+        s.recv(25 * MS, c, resume, &mut out);
+        assert_eq!(seqs(&out), vec![1, 2], "the frames past last_acked");
+        assert_eq!(s.stats().reconnects, 1);
+        // ...and the count restarts: two more resends before the reap.
+        for t in [35, 45] {
+            s.expire(t * MS, c, &mut out);
+            assert!(!s.is_reaped(c), "resend at {t} ms");
+        }
+        s.expire(55 * MS, c, &mut out);
+        assert!(s.is_reaped(c));
+        // A resume with the wrong token is ignored.
+        let mut s: ServerSession<u32> = ServerSession::new(1, p);
+        s.send(Duration::ZERO, c, 1);
+        let forged = SessionUp::<()>::Resume {
+            token: session_token(p.seed ^ 1, c),
+            last_acked: 1,
+        };
+        s.recv(MS, c, forged, &mut out);
+        assert_eq!((s.unacked(c), s.stats().reconnects), (1, 0));
+        // A resume acks what the client already has: only the rest comes.
+        s.send(Duration::ZERO, c, 2);
+        out.frames.clear();
+        let resume = SessionUp::<()>::Resume {
+            token: session_token(p.seed, c),
+            last_acked: 1,
+        };
+        s.recv(2 * MS, c, resume, &mut out);
+        assert_eq!(seqs(&out), vec![2], "exactly the frames past last_acked");
+    }
+
+    #[test]
+    fn server_timers_run_through_a_client_partition() {
+        // The server never sees the client's partition: its RTO keeps
+        // resending into the dark link and spending attempts, the client
+        // loses those frames, and the resume at heal catches it up.
+        let c = ClientId(0);
+        let p = params(10, 16);
+        let mut s: ServerSession<u32> = ServerSession::new(1, p);
+        let mut cl: ClientSession<(), u32> = ClientSession::new(c, p.seed);
+        let mut out = ServerOut::default();
+        let mut got = Vec::new();
+        let heal = cl.partition(Duration::ZERO, 35 * MS);
+        let Some(SessionDown::Seq(seq, m)) = s.send(Duration::ZERO, c, 5) else {
+            unreachable!()
+        };
+        assert_eq!(cl.accept(MS, seq, m, &mut got), None, "lost in the dark");
+        assert_eq!(cl.send(()), None, "up traffic buffers while dark");
+        for t in [10, 20, 30] {
+            s.expire(t * MS, c, &mut out);
+        }
+        for (_, SessionDown::Seq(seq, m)) in out.frames.drain(..) {
+            assert_eq!(cl.accept(31 * MS, seq, m, &mut got), None);
+        }
+        assert_eq!(s.stats().retransmits, 3, "resends counted while dark");
+        let mut ups = Vec::new();
+        let resume = cl.resume(&mut ups);
+        assert_eq!(heal, 35 * MS);
+        assert_eq!(ups, vec![()], "the buffered up message flushes at heal");
+        s.recv(heal, c, resume, &mut out);
+        for (_, SessionDown::Seq(seq, m)) in out.frames.drain(..) {
+            if let Some(cum) = cl.accept(heal, seq, m, &mut got) {
+                s.ack(heal, c, cum);
+            }
+        }
+        assert_eq!(got, vec![5]);
+        assert!(!s.in_flight());
+        assert_eq!(cl.stats().reconnects, 1);
+    }
+
+    #[test]
+    fn acks_count_cumulative_advances_only() {
+        let c = ClientId(0);
+        let mut s: ServerSession<u32> = ServerSession::new(1, params(10, 16));
+        let mut out = ServerOut::default();
+        for v in 0..4 {
+            s.send(Duration::ZERO, c, v);
+        }
+        for cum in [1, 1, 0, 3, 2, 99] {
+            s.recv(MS, c, SessionUp::<()>::Ack(cum), &mut out);
+        }
+        assert_eq!(s.stats().acks, 3, "1, 3 and the clamped 99 advance");
+        assert_eq!(s.unacked(c), 0);
+        s.send(MS, c, 9);
+        assert_eq!(s.unacked(c), 1, "an over-ack cannot pre-ack later frames");
+    }
+
+    #[test]
+    fn eviction_reaps_only_lanes_past_the_ring() {
+        let p = SessionParams {
+            ring: 2,
+            ..SessionParams::default()
+        };
+        let mut s: ServerSession<u32> = ServerSession::new(3, p);
+        let mut out = ServerOut::default();
+        for v in 0..3 {
+            s.send(Duration::ZERO, ClientId(0), v);
+            s.send(Duration::ZERO, ClientId(2), v);
+        }
+        s.send(Duration::ZERO, ClientId(1), 0);
+        s.finish(ClientId(2));
+        s.evict_overfull(&mut out);
+        assert_eq!(
+            out.reaped,
+            vec![(ClientId(0), true)],
+            "finished lanes are not evicted"
+        );
+        assert_eq!((s.stats().sheds, s.stats().reaps), (1, 1));
+        assert!(!s.finish(ClientId(0)), "a reaped seat is not counted twice");
+    }
+
+    #[test]
+    fn detached_lane_is_reaped_at_the_liveness_deadline() {
+        let c = ClientId(0);
+        let p = SessionParams::default();
+        let mut s: ServerSession<u32> = ServerSession::new(1, p);
+        let mut out = ServerOut::default();
+        let until = s.detach(MS, c).expect("newly detached");
+        assert_eq!(
+            s.detach(2 * MS, c),
+            None,
+            "the first loss sets the deadline"
+        );
+        s.expire(until - MS, c, &mut out);
+        assert!(!s.is_reaped(c));
+        s.recv(2 * MS, c, SessionUp::<()>::Heartbeat, &mut out);
+        s.expire(until, c, &mut out);
+        assert!(!s.is_reaped(c), "traffic re-attaches the lane");
+        let until = s.detach(3 * MS, c).expect("detached again");
+        s.expire(until, c, &mut out);
+        assert_eq!(out.reaped, vec![(c, true)]);
+    }
+
     #[test]
     fn default_params_are_supervised() {
         let p = SessionParams::default();
         assert!(p.supervised);
-        assert_eq!(p.shed, ShedPolicy::Evict);
         assert!(!SessionParams::unsupervised().supervised);
         assert!(SessionParams::fast().rto < p.rto);
         assert!(SessionParams::fast().supervised);

@@ -22,7 +22,9 @@
 
 use crate::fault::{FaultPlan, FaultyLink, LinkPartition};
 use crate::machine::Machine;
-use crate::session::{Resequencer, SessionParams, SessionStats};
+use crate::session::{
+    ClientSession, ServerOut, ServerSession, SessionDown, SessionParams, SessionStats,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seve_core::consistency::ConsistencyOracle;
@@ -36,6 +38,7 @@ use seve_world::ids::{ClientId, QueuePos};
 use seve_world::worlds::Workload;
 use seve_world::GameWorld;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Testbed parameters. Defaults are Table I.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -72,12 +75,14 @@ pub struct SimConfig {
     /// Both pop the identical event sequence, so every digest and metric is
     /// independent of the choice.
     pub event_queue: EventQueueKind,
-    /// Session supervision (acked resume protocol). The sim models the
-    /// single-address-space limit of the threaded wrappers: acks are
-    /// instantaneous (the window trims the moment the client accepts a
-    /// frame in order), and retransmit watchdogs are armed only on lanes
-    /// that can actually lose or partition — so a fault-free run schedules
-    /// not one extra event and stays bit-identical to the golden digests.
+    /// Session supervision (acked resume protocol), run by the same
+    /// session core as the threaded backends. Three substrate properties
+    /// differ: control frames are instantaneous (the window trims the
+    /// moment the client accepts a frame in order), retransmit timers are
+    /// armed only on lanes that can actually lose or partition — so a
+    /// fault-free run schedules not one extra event and stays
+    /// bit-identical to the golden digests — and there is no overload
+    /// eviction (`ring` is ignored).
     pub session: SessionParams,
 }
 
@@ -205,19 +210,29 @@ enum Ev<U, D> {
     },
     Tick,
     Push,
-    /// Retransmit watchdog for `client`'s resend window (armed only on
-    /// lanes that can fault — never scheduled on a clean run).
+    /// Retransmit timer for `client`'s lane (armed only on lanes that can
+    /// fault — never scheduled on a clean run).
     Retransmit {
         client: usize,
     },
-    /// End of `client`'s link partition: reconnect, resume, flush.
+    /// End of `client`'s link partition: resume, flush.
     Heal {
         client: usize,
     },
-    /// Liveness deadline for a crashed `client`: reap its lane.
+    /// Liveness deadline for a crashed `client`.
     Reap {
         client: usize,
     },
+}
+
+/// Virtual time as the session core's time since session start.
+fn since_start(t: SimTime) -> Duration {
+    Duration::from_micros(t.as_micros())
+}
+
+/// A session-core deadline as virtual time.
+fn at(d: Duration) -> SimTime {
+    SimTime(d.as_micros() as u64)
 }
 
 /// Run identity for [`EventQueue::schedule_run`]: two wakes of the same
@@ -310,16 +325,14 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
             .collect();
         let mut crashed = vec![false; n];
 
-        // Session supervision state. The sim collapses the ack round trip:
-        // the server's resend window trims the instant the client accepts a
-        // frame in order (both halves live in this address space), which
-        // keeps a fault-free supervised schedule event-for-event identical
-        // to the unsupervised one. Retransmit watchdogs are armed only on
-        // lanes that can actually lose traffic (down-lane faults configured
-        // or a partition scheduled), never on clean lanes.
+        // Session supervision: the shared session core, both halves in
+        // this address space. The ack round trip collapses — the server
+        // half hears the cumulative ack the instant the client half accepts
+        // a frame in order — which keeps a fault-free supervised schedule
+        // event-for-event identical to the unsupervised one. Retransmit
+        // timers are armed only on lanes that can actually lose traffic
+        // (down-lane faults configured or a partition scheduled).
         let sup = cfg.session.supervised;
-        let rto = SimDuration::from_micros(cfg.session.rto.as_micros() as u64);
-        let liveness = SimDuration::from_micros(cfg.session.liveness.as_micros() as u64);
         let partition_at: Vec<Option<LinkPartition>> = (0..n)
             .map(|i| self.faults.partition_for(ClientId(i as u16)))
             .collect();
@@ -327,19 +340,14 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
         let watch: Vec<bool> = (0..n)
             .map(|i| sup && (down_can_fault || partition_at[i].is_some()))
             .collect();
-        let mut windows: Vec<std::collections::VecDeque<(u64, P::Down)>> =
-            (0..n).map(|_| std::collections::VecDeque::new()).collect();
-        let mut next_seq: Vec<u64> = vec![1; n];
-        let mut reseq: Vec<Resequencer<P::Down>> = (0..n).map(|_| Resequencer::new()).collect();
-        let mut acked: Vec<u64> = vec![0; n];
-        let mut attempts: Vec<u32> = vec![0; n];
         let mut armed = vec![false; n];
-        let mut reaped = vec![false; n];
-        let mut last_progress: Vec<SimTime> = vec![SimTime::ZERO; n];
-        let mut partition_until: Vec<Option<SimTime>> = vec![None; n];
-        let mut pending_up: Vec<Vec<P::Up>> = (0..n).map(|_| Vec::new()).collect();
-        let mut reseq_out: Vec<P::Down> = Vec::new();
-        let mut stats = SessionStats::default();
+        let mut srv_session: ServerSession<P::Down> = ServerSession::new(n, cfg.session);
+        let mut cli_session: Vec<ClientSession<P::Up, P::Down>> = (0..n)
+            .map(|i| ClientSession::new(ClientId(i as u16), cfg.session.seed))
+            .collect();
+        let mut session_out: ServerOut<P::Down> = ServerOut::default();
+        let mut accepted: Vec<P::Down> = Vec::new();
+        let mut flushed_up: Vec<P::Up> = Vec::new();
 
         // Stagger the move timers: clients are not synchronized, and "the
         // random order of arrival of actions at the server will ensure
@@ -396,65 +404,77 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
         let mut client_inbox: Vec<std::collections::VecDeque<P::Down>> =
             (0..n).map(|_| std::collections::VecDeque::new()).collect();
 
-        // One down-lane emission, supervision-aware: assign the sequence
-        // number, remember the frame in the resend window, arm the
-        // retransmit watchdog on faultable lanes. A macro rather than a
-        // closure so the four emission sites (deliver, wake, tick, push)
-        // share the bookkeeping without fighting the borrow checker.
-        macro_rules! send_down {
-            ($d:expr, $m:expr, $done:expr) => {{
-                let d: usize = $d;
-                let done = $done;
-                if sup && reaped[d] {
-                    // Reaped lane: the server knows this client is gone —
-                    // nothing is sent, nothing buffers.
-                } else {
-                    let m = $m;
-                    let seq = if sup {
-                        let s = next_seq[d];
-                        next_seq[d] += 1;
-                        if windows[d].is_empty() {
-                            last_progress[d] = done;
-                        }
-                        windows[d].push_back((s, m.clone()));
-                        s
-                    } else {
-                        0
-                    };
-                    down_links[d].send(done, m.wire_bytes(), &mut arrivals);
-                    fan(&arrivals, m, |at, m| {
-                        queue.schedule(
-                            at,
-                            Ev::Down {
-                                client: d,
-                                msg: m,
-                                seq,
-                            },
-                        )
-                    });
-                    if watch[d] && !armed[d] {
-                        armed[d] = true;
-                        queue.schedule(done + rto, Ev::Retransmit { client: d });
+        // Put one frame on a link at `$at`: the faulted arrivals become
+        // delivery events. Macros rather than closures so the emission
+        // sites (deliver, wake, tick, push, resend, heal) share them
+        // without fighting the borrow checker.
+        macro_rules! transmit_down {
+            ($c:expr, $seq:expr, $m:expr, $at:expr) => {{
+                let (client, seq, m): (usize, u64, P::Down) = ($c, $seq, $m);
+                down_links[client].send($at, m.wire_bytes(), &mut arrivals);
+                fan(&arrivals, m, |at, msg| {
+                    queue.schedule(at, Ev::Down { client, msg, seq })
+                });
+            }};
+        }
+        macro_rules! transmit_up {
+            ($c:expr, $m:expr, $at:expr) => {{
+                let (client, m): (usize, P::Up) = ($c, $m);
+                up_links[client].send($at, m.wire_bytes(), &mut arrivals);
+                fan(&arrivals, m, |at, msg| {
+                    queue.schedule(at, Ev::Up { client, msg })
+                });
+            }};
+        }
+        // Arm `$c`'s retransmit timer at the core's RTO deadline, on a lane
+        // that can fault and has no timer pending.
+        macro_rules! arm {
+            ($c:expr) => {{
+                let c: usize = $c;
+                if watch[c] && !armed[c] {
+                    if let Some(t) = srv_session.rto_deadline(ClientId(c as u16)) {
+                        armed[c] = true;
+                        queue.schedule(at(t), Ev::Retransmit { client: c });
                     }
                 }
             }};
         }
-
-        // One up-lane emission: a partitioned client buffers instead of
-        // sending (the bytes count when the flush actually happens, at
-        // heal).
+        // Carry out what the session core asked for at `$now`: transmit its
+        // resends, and drop the inbox of every lane it reaped.
+        macro_rules! apply_session_out {
+            ($now:expr) => {{
+                for (c, SessionDown::Seq(seq, m)) in session_out.frames.drain(..) {
+                    transmit_down!(c.index(), seq, m, $now);
+                }
+                for (c, _) in session_out.reaped.drain(..) {
+                    client_inbox[c.index()].clear();
+                }
+            }};
+        }
+        // One down-lane emission. Supervised lanes sequence it through the
+        // session core (a reaped lane sends nothing); unsupervised frames
+        // carry seq 0.
+        macro_rules! send_down {
+            ($d:expr, $m:expr, $done:expr) => {{
+                let (d, m, done): (usize, P::Down, SimTime) = ($d, $m, $done);
+                let frame = if sup {
+                    srv_session.send(since_start(done), ClientId(d as u16), m)
+                } else {
+                    Some(SessionDown::Seq(0, m))
+                };
+                if let Some(SessionDown::Seq(seq, m)) = frame {
+                    transmit_down!(d, seq, m, done);
+                    arm!(d);
+                }
+            }};
+        }
+        // One up-lane emission: the client half holds it while its link is
+        // partitioned (the bytes count when it crosses the wire, at heal).
         macro_rules! send_up {
             ($c:expr, $m:expr, $done:expr) => {{
                 let c: usize = $c;
-                let done = $done;
-                let m = $m;
-                if sup && partition_until[c].is_some() {
-                    pending_up[c].push(m);
-                } else {
-                    up_links[c].send(done, m.wire_bytes(), &mut arrivals);
-                    fan(&arrivals, m, |at, m| {
-                        queue.schedule(at, Ev::Up { client: c, msg: m })
-                    });
+                if let Some(m) = cli_session[c].send($m) {
+                    transmit_up!(c, m, $done);
                 }
             }};
         }
@@ -528,7 +548,8 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
             end_time = now;
             match ev {
                 Ev::Move { client } => {
-                    if crashed[client] || reaped[client] {
+                    let id = ClientId(client as u16);
+                    if crashed[client] || srv_session.is_reaped(id) {
                         continue;
                     }
                     if client_mach[client].is_busy(now) {
@@ -537,7 +558,6 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                     }
                     let c = &mut clients[client];
                     let seq = c.next_seq();
-                    let id = ClientId(client as u16);
                     up_out.clear();
                     if let Some(action) = workload.next_action(id, seq, c.optimistic(), now.as_ms())
                     {
@@ -556,7 +576,9 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                         if sup {
                             // Liveness supervision: the lane stays up for
                             // the resume window, then the server reaps it.
-                            queue.schedule(now + liveness, Ev::Reap { client });
+                            if let Some(t) = srv_session.detach(since_start(now), id) {
+                                queue.schedule(at(t), Ev::Reap { client });
+                            }
                         }
                         continue;
                     }
@@ -564,9 +586,8 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                         if let Some(p) = partition_at[client] {
                             if cfg.moves_per_client - moves_left[client] == p.after_submissions {
                                 let until =
-                                    now + SimDuration::from_micros(p.duration.as_micros() as u64);
-                                partition_until[client] = Some(until);
-                                queue.schedule(until, Ev::Heal { client });
+                                    cli_session[client].partition(since_start(now), p.duration);
+                                queue.schedule(at(until), Ev::Heal { client });
                             }
                         }
                     }
@@ -576,7 +597,7 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                     }
                 }
                 Ev::Up { client, msg } => {
-                    if sup && reaped[client] {
+                    if srv_session.is_reaped(ClientId(client as u16)) {
                         // A reaped lane swallows late traffic.
                         continue;
                     }
@@ -586,46 +607,32 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                 }
                 Ev::WakeServer => serve_server!(now, members),
                 Ev::Down { client, msg, seq } => {
-                    if crashed[client] || reaped[client] {
+                    let id = ClientId(client as u16);
+                    if crashed[client] || srv_session.is_reaped(id) {
                         continue;
                     }
                     if sup {
-                        if partition_until[client].is_some_and(|t| now < t) {
-                            // The link is dark: the frame is lost. The
-                            // resume handshake at heal retransmits it.
-                            continue;
-                        }
-                        let before = client_inbox[client].len();
-                        reseq[client].accept(seq, msg, &mut reseq_out);
-                        for m in reseq_out.drain(..) {
-                            client_inbox[client].push_back(m);
-                        }
-                        // Instant ack: trim the resend window to the
-                        // client's cumulative ack (both halves share this
+                        // Instant ack: the server half hears the client
+                        // half's cumulative ack at once (both live in this
                         // address space, so the ack round trip collapses —
                         // zero cost, zero bytes, zero events).
-                        let cum = reseq[client].cum_ack();
-                        if cum > acked[client] {
-                            acked[client] = cum;
-                            stats.acks += 1;
-                            while windows[client].front().is_some_and(|&(s, _)| s <= cum) {
-                                windows[client].pop_front();
-                            }
-                            attempts[client] = 0;
-                            last_progress[client] = now;
+                        let t = since_start(now);
+                        if let Some(cum) = cli_session[client].accept(t, seq, msg, &mut accepted) {
+                            srv_session.ack(t, id, cum);
                         }
-                        if client_inbox[client].len() == before {
-                            // Held out of order (or a duplicate): nothing
-                            // newly deliverable.
+                        if accepted.is_empty() {
+                            // Lost on a dark link, held out of order, or a
+                            // duplicate: nothing newly deliverable.
                             continue;
                         }
+                        client_inbox[client].extend(accepted.drain(..));
                     } else {
                         client_inbox[client].push_back(msg);
                     }
                     serve_client!(client, now, 1);
                 }
                 Ev::WakeClient { client } => {
-                    if crashed[client] || reaped[client] {
+                    if crashed[client] || srv_session.is_reaped(ClientId(client as u16)) {
                         continue;
                     }
                     serve_client!(client, now, members);
@@ -665,101 +672,32 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
                 }
                 Ev::Retransmit { client } => {
                     armed[client] = false;
-                    if !sup || reaped[client] || windows[client].is_empty() {
-                        continue;
-                    }
-                    if partition_until[client].is_some() {
-                        // Dark link: the heal event will retransmit the
-                        // window; keep the watchdog alive past it.
-                        armed[client] = true;
-                        queue.schedule(now + rto, Ev::Retransmit { client });
-                        continue;
-                    }
-                    let due = last_progress[client] + rto;
-                    if now < due {
-                        armed[client] = true;
-                        queue.schedule(due, Ev::Retransmit { client });
-                        continue;
-                    }
-                    attempts[client] += 1;
-                    if attempts[client] >= cfg.session.give_up {
-                        // Unreachable after give_up windows: reap the lane.
-                        reaped[client] = true;
-                        windows[client].clear();
-                        client_inbox[client].clear();
-                        pending_up[client].clear();
-                        stats.reaps += 1;
-                        continue;
-                    }
-                    // Go-back-N: resend every unacked frame. The faulty
-                    // link re-rolls verdicts per transmission, so repeated
-                    // rounds converge.
-                    stats.retransmits += windows[client].len() as u64;
-                    let burst: Vec<(u64, P::Down)> = windows[client].iter().cloned().collect();
-                    for (seq, m) in burst {
-                        down_links[client].send(now, m.wire_bytes(), &mut arrivals);
-                        fan(&arrivals, m, |at, m| {
-                            queue.schedule(
-                                at,
-                                Ev::Down {
-                                    client,
-                                    msg: m,
-                                    seq,
-                                },
-                            )
-                        });
-                    }
-                    last_progress[client] = now;
-                    armed[client] = true;
-                    queue.schedule(now + rto, Ev::Retransmit { client });
+                    let id = ClientId(client as u16);
+                    srv_session.expire(since_start(now), id, &mut session_out);
+                    apply_session_out!(now);
+                    arm!(client);
                 }
                 Ev::Heal { client } => {
-                    if !sup || crashed[client] || reaped[client] {
+                    let id = ClientId(client as u16);
+                    if crashed[client] || srv_session.is_reaped(id) {
                         continue;
                     }
-                    partition_until[client] = None;
-                    stats.reconnects += 1;
-                    // Resume handshake: the client reports its last
-                    // cumulative ack, the server retransmits exactly the
-                    // frames past it (already-delivered frames are never
-                    // replayed — the resequencer would drop them anyway).
-                    stats.retransmits += windows[client].len() as u64;
-                    let burst: Vec<(u64, P::Down)> = windows[client].iter().cloned().collect();
-                    for (seq, m) in burst {
-                        down_links[client].send(now, m.wire_bytes(), &mut arrivals);
-                        fan(&arrivals, m, |at, m| {
-                            queue.schedule(
-                                at,
-                                Ev::Down {
-                                    client,
-                                    msg: m,
-                                    seq,
-                                },
-                            )
-                        });
-                    }
-                    last_progress[client] = now;
-                    // Flush the ups buffered while the link was dark; their
-                    // bytes count now, when they actually cross the wire.
-                    let ups = std::mem::take(&mut pending_up[client]);
-                    for m in ups {
-                        up_links[client].send(now, m.wire_bytes(), &mut arrivals);
-                        fan(&arrivals, m, |at, m| {
-                            queue.schedule(at, Ev::Up { client, msg: m })
-                        });
+                    // The resume handshake, instant like every control
+                    // frame: the server half resends exactly the frames
+                    // past the client's cumulative ack, then the ups held
+                    // while the link was dark cross the wire (their bytes
+                    // count now).
+                    let resume = cli_session[client].resume(&mut flushed_up);
+                    srv_session.recv(since_start(now), id, resume, &mut session_out);
+                    apply_session_out!(now);
+                    for m in flushed_up.drain(..) {
+                        transmit_up!(client, m, now);
                     }
                 }
                 Ev::Reap { client } => {
-                    if !sup || reaped[client] {
-                        continue;
-                    }
-                    // Liveness expired with no resume: release the lane and
-                    // every buffer it pinned.
-                    reaped[client] = true;
-                    windows[client].clear();
-                    client_inbox[client].clear();
-                    pending_up[client].clear();
-                    stats.reaps += 1;
+                    let id = ClientId(client as u16);
+                    srv_session.expire(since_start(now), id, &mut session_out);
+                    apply_session_out!(now);
                 }
             }
         }
@@ -810,9 +748,11 @@ impl<'a, W: GameWorld, P: ProtocolSuite<W>> Simulation<'a, W, P> {
         let server_up_bytes: u64 = up_links.iter().map(|l| l.link().bytes_sent()).sum();
         let duration = end_time - SimTime::ZERO;
 
-        for r in &reseq {
-            stats.dups_dropped += r.dups_dropped;
-            stats.holds += r.holds;
+        let mut stats = srv_session.stats();
+        for c in &cli_session {
+            let resequenced = c.stats();
+            stats.dups_dropped += resequenced.dups_dropped;
+            stats.holds += resequenced.holds;
         }
         let mut server_metrics = server.metrics().clone();
         server_metrics.stage.session_retransmits += stats.retransmits;

@@ -98,13 +98,6 @@ pub trait ServerTransport<U, D> {
         Ok(())
     }
 
-    /// Is the transport over its egress high-water mark? Drivers consult
-    /// this before optional work (push cycles) and skip it while true —
-    /// the ThinPush shed policy. Default: never.
-    fn overloaded(&mut self) -> bool {
-        false
-    }
-
     /// Cumulative wire-path statistics. Transports without a real wire
     /// path (channels, simulation) report zeros.
     fn egress_stats(&self) -> EgressStats {

@@ -65,7 +65,7 @@ pub mod prelude {
     pub use seve_core::SeveClient;
     pub use seve_driver::{
         run_inproc_session, FaultPlan, FaultPolicy, LinkPartition, NodeDriver, SessionConfig,
-        SessionParams, SessionStats, ShedPolicy,
+        SessionParams, SessionStats,
     };
     pub use seve_net::stats::Summary;
     pub use seve_net::time::{SimDuration, SimTime};

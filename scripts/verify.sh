@@ -5,13 +5,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # --chaos: fault-tolerance smoke slice only. Seeded chaos soaks must end
-# consistent with non-zero SessionStats (the faults really happened), and
-# clean runs must report exactly zero coping counters (supervision is
-# invisible when nothing goes wrong).
+# consistent with non-zero SessionStats (the faults really happened),
+# partitions must heal and resume, a partition past the retry budget must
+# be reaped alike on every substrate, a small ring must evict, and clean
+# runs must report exactly zero coping counters (supervision is invisible
+# when nothing goes wrong).
 if [[ "${1:-}" == "--chaos" ]]; then
   echo "== chaos smoke =="
   cargo test -q -p seve --release --test fault_matrix -- \
-    chaos clean_runs_have_zero_coping_counters
+    chaos partition give_up evict clean_runs_have_zero_coping_counters
   echo "verify.sh --chaos: fault-tolerance smoke passed"
   exit 0
 fi

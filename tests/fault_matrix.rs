@@ -30,6 +30,10 @@
 //!   dark window, reconnects under seeded backoff, presents its session
 //!   token, and resumes from its last-acked frame — no delivered frame is
 //!   replayed, no undelivered frame is lost.
+//! * **Give-up and eviction.** A partition that outlasts `give_up` resends
+//!   gets the lane reaped, identically on the simulator and the threaded
+//!   runtime (both run the one session core); a threaded server evicts a
+//!   client whose unacked window passes `ring`.
 //!
 //! [`SessionStats`]: seve::driver::SessionStats
 
@@ -328,6 +332,36 @@ fn sim_chaos_soak_converges_across_seeds() {
     }
 }
 
+#[test]
+fn sim_partition_heals_and_resumes() {
+    const N: usize = 4;
+    const MOVES: u32 = 10;
+    let plan = FaultPlan {
+        partitions: vec![LinkPartition {
+            client: ClientId(1),
+            after_submissions: 3,
+            duration: Duration::from_millis(250),
+        }],
+        ..FaultPlan::default()
+    };
+    let r = sim_dining_run(N, MOVES, plan, SessionParams::default());
+    // The partitioned client buffered its ups through the dark window and
+    // flushed them on resume: nothing was lost.
+    assert_eq!(r.submitted, (N as u64) * (MOVES as u64));
+    assert_eq!(r.session.reconnects, 1, "the partitioned client must heal");
+    assert_eq!(r.session.reaps, 0);
+    assert!(
+        r.session.retransmits > 0,
+        "the resume must resend what the dark link lost"
+    );
+    assert_eq!(r.violations, 0, "resume must not corrupt the session");
+    assert_eq!(r.replay_divergences, 0);
+    assert!(
+        r.stable_digests.windows(2).all(|w| w[0] == w[1]),
+        "all replicas (including the healed one) must converge"
+    );
+}
+
 // ------------------------------------------------------- in-process runtime
 
 fn inproc_cfg(moves: u32, faults: FaultPlan) -> SessionConfig {
@@ -503,6 +537,111 @@ fn inproc_partition_heals_and_resumes() {
         digests.windows(2).all(|w| w[0] == w[1]),
         "all replicas (including the healed one) must converge: {digests:x?}"
     );
+}
+
+/// What a substrate reports about a lane that went dark for longer than
+/// its retry budget.
+#[derive(Debug, PartialEq)]
+struct GiveUp {
+    reaps: u64,
+    resumes_accepted: u64,
+    budget_spent: bool,
+}
+
+#[test]
+fn give_up_reaps_a_long_partition_on_sim_and_inproc() {
+    // A partition outlasting `give_up` resends one RTO apart: the server
+    // reaps the lane at the expiry after its last resend and refuses the
+    // late resume. The sim and the threaded runtime run the same session
+    // core, so they must report the same give-up behaviour.
+    const N: usize = 4;
+    const MOVES: u32 = 10;
+    let session = SessionParams::fast();
+    let plan = FaultPlan {
+        partitions: vec![LinkPartition {
+            client: ClientId(1),
+            after_submissions: 3,
+            duration: session.rto * session.give_up * 3,
+        }],
+        ..FaultPlan::default()
+    };
+    let survivors_agree = |digests: Vec<u64>| {
+        let alive: Vec<u64> = digests
+            .into_iter()
+            .enumerate()
+            .filter(|&(i, _)| i != 1)
+            .map(|(_, d)| d)
+            .collect();
+        alive.windows(2).all(|w| w[0] == w[1])
+    };
+
+    let r = sim_dining_run(N, MOVES, plan.clone(), session);
+    assert_eq!(r.violations, 0);
+    assert!(survivors_agree(r.stable_digests.clone()), "sim survivors");
+    let sim = GiveUp {
+        reaps: r.session.reaps,
+        resumes_accepted: r.session.reconnects,
+        budget_spent: r.session.retransmits >= u64::from(session.give_up),
+    };
+
+    let world = dining(N);
+    let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::Basic));
+    let mut cfg = inproc_cfg(MOVES, plan);
+    cfg.session = session;
+    let mut report = run_inproc_session(Arc::clone(&world), &suite, &cfg, |_| {
+        Box::new(DiningWorkload::new(&world))
+    });
+    let (_, violations) = report.cross_check();
+    assert_eq!(violations, 0);
+    assert!(
+        survivors_agree(report.clients.iter().map(|c| c.stable_digest).collect()),
+        "inproc survivors"
+    );
+    let stage = &report.server.metrics.stage;
+    let inproc = GiveUp {
+        reaps: stage.session_reaps,
+        resumes_accepted: stage.session_reconnects,
+        budget_spent: stage.session_retransmits >= u64::from(session.give_up),
+    };
+
+    let expected = GiveUp {
+        reaps: 1,
+        resumes_accepted: 0,
+        budget_spent: true,
+    };
+    assert_eq!(sim, expected, "sim");
+    assert_eq!(inproc, expected, "inproc");
+}
+
+#[test]
+fn inproc_small_ring_evicts_a_partitioned_client() {
+    // A client dark for a second while the others keep playing: its
+    // unacked window passes a small ring long before the partition heals,
+    // and the server evicts it rather than let it pin memory.
+    const N: usize = 4;
+    const MOVES: u32 = 20;
+    let world = dining(N);
+    let suite = SeveSuite::new(ProtocolConfig::with_mode(ServerMode::Basic));
+    let plan = FaultPlan {
+        partitions: vec![LinkPartition {
+            client: ClientId(1),
+            after_submissions: 1,
+            duration: Duration::from_secs(1),
+        }],
+        ..FaultPlan::default()
+    };
+    let mut cfg = inproc_cfg(MOVES, plan);
+    // Never give up: only eviction can unseat the lane.
+    cfg.session.ring = 16;
+    cfg.session.give_up = u32::MAX;
+    let mut report = run_inproc_session(Arc::clone(&world), &suite, &cfg, |_| {
+        Box::new(DiningWorkload::new(&world))
+    });
+    let stage = &report.server.metrics.stage;
+    assert!(stage.session_sheds >= 1, "the dark client must be evicted");
+    assert!(stage.session_reaps >= 1, "eviction reaps the lane");
+    let (_, violations) = report.cross_check();
+    assert_eq!(violations, 0, "survivors stay consistent");
 }
 
 // ------------------------------------------------------------ real TCP
