@@ -297,23 +297,20 @@ fn main() {
             assert_eq!(r.join().expect("reader"), expected_frames, "oracle frames");
         }
 
-        // Pooled session. One persistent drain pool for the whole sweep,
-        // exactly as the real transport holds one per session.
+        // Pooled session. One buffer pool for the whole sweep, exactly as
+        // the real transport holds one per session.
         let (readers, mut writers) = egress_session(n);
         let mut pool = BufferPool::new();
-        let exec = seve_exec::Executor::new(4);
         let mut writev_batches = 0u64;
         for _ in 0..warmup {
-            let (_, b) =
-                fan_out(&mut writers, &out, Down::share_key, &mut pool, &exec).expect("fan out");
-            writev_batches += b;
+            let f = fan_out(&mut writers, &out, Down::share_key, &mut pool).expect("fan out");
+            writev_batches += f.writev_batches;
         }
         let misses_after_warmup = pool.misses();
         let t = Instant::now();
         for _ in 0..cycles {
-            let (_, b) =
-                fan_out(&mut writers, &out, Down::share_key, &mut pool, &exec).expect("fan out");
-            writev_batches += b;
+            let f = fan_out(&mut writers, &out, Down::share_key, &mut pool).expect("fan out");
+            writev_batches += f.writev_batches;
         }
         let pooled_ns = t.elapsed().as_nanos() as u64 / cycles as u64;
         drop(writers);

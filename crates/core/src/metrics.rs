@@ -171,17 +171,12 @@ pub struct StageMetrics {
     /// Always 0: the analysis is one sequential walk. Kept so existing
     /// profile readers still find the field.
     pub analyze_parallel_ticks: u64,
-    /// Tasks the transport's drain-pool executor ran (zero for backends
-    /// without one; transport counters merge in at report time).
+    /// Client lanes the transport drained to sockets (zero for backends
+    /// without sockets; transport counters merge in at report time).
     pub exec_tasks: u64,
-    /// Tasks a lane took from a queue it does not own — work the
-    /// stealing mechanism actually rebalanced.
-    pub exec_steals: u64,
-    /// Summed wall-clock nanoseconds drain-pool lanes spent inside tasks.
+    /// Wall-clock nanoseconds the transport spent in its socket drain
+    /// phase, timed once per outbound batch.
     pub exec_busy_nanos: u64,
-    /// High-water mark of tasks queued on the executor and not yet
-    /// picked up.
-    pub exec_queue_hwm: u64,
     /// Pooled encode buffers still checked out at report time. Non-zero
     /// after a drained shutdown means the transport leaked buffers.
     pub pool_outstanding: u64,
@@ -264,9 +259,7 @@ mod tests {
         assert_eq!(s.stage.analyze_entries_linear, 0);
         assert_eq!(s.stage.analyze_parallel_ticks, 0);
         assert_eq!(s.stage.exec_tasks, 0);
-        assert_eq!(s.stage.exec_steals, 0);
         assert_eq!(s.stage.exec_busy_nanos, 0);
-        assert_eq!(s.stage.exec_queue_hwm, 0);
         assert_eq!(s.stage.pool_outstanding, 0);
         assert_eq!(s.stage.session_retransmits, 0);
         assert_eq!(s.stage.session_acks, 0);

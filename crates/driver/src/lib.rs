@@ -27,6 +27,7 @@
 //!   with the pipeline stage profile and replay-work counters, whatever the
 //!   substrate.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

@@ -183,12 +183,8 @@ impl NodeDriver {
         metrics.stage.session_reconnects += wire.session.reconnects;
         metrics.stage.session_reaps += wire.session.reaps;
         metrics.stage.session_sheds += wire.session.sheds;
-        // The transport's drain pool is the only executor; the engine
-        // itself runs sequentially.
-        metrics.stage.exec_tasks = wire.exec_tasks;
-        metrics.stage.exec_steals = wire.exec_steals;
-        metrics.stage.exec_busy_nanos = wire.exec_busy_nanos;
-        metrics.stage.exec_queue_hwm = wire.exec_queue_hwm;
+        metrics.stage.exec_tasks = wire.drain_lanes;
+        metrics.stage.exec_busy_nanos = wire.drain_nanos;
         Ok(ServerReport {
             metrics,
             committed_digest: engine.committed().map(|s| s.digest()),

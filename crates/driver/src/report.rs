@@ -176,16 +176,14 @@ pub fn render_stage_profile(label: &str, stage: &StageMetrics) -> String {
         "  analyze index: {} entries visited ({} linear-equivalent)",
         stage.analyze_entries_visited, stage.analyze_entries_linear
     );
-    // Drain-pool counters appear once the transport's pool has actually
-    // run tasks; simulated and idle runs keep the profile unchanged.
+    // The drain line appears once the transport has written lanes to
+    // sockets; simulated and idle runs keep the profile unchanged.
     if stage.exec_tasks > 0 {
         let _ = writeln!(
             out,
-            "  drain pool: {} tasks, {} steals, busy {:.3} ms, queue high-water {}",
+            "  drain: {} lanes, {:.3} ms",
             stage.exec_tasks,
-            stage.exec_steals,
             stage.exec_busy_nanos as f64 / 1e6,
-            stage.exec_queue_hwm,
         );
     }
     // The session line appears only when the supervisor actually coped
@@ -271,18 +269,16 @@ mod tests {
         assert!(text.contains("closure index"));
         assert!(text.contains("analyze index"));
         assert!(
-            !text.contains("drain pool:"),
-            "drain-pool line only when the pool ran tasks"
+            !text.contains("drain:"),
+            "drain line only when lanes were drained"
         );
 
         stage.exec_tasks = 12;
-        stage.exec_steals = 3;
         stage.exec_busy_nanos = 2_500_000;
-        stage.exec_queue_hwm = 5;
         let text = render_stage_profile("SEVE @ 8 clients", &stage);
         assert!(
-            text.contains("drain pool: 12 tasks, 3 steals, busy 2.500 ms, queue high-water 5"),
-            "drain-pool line missing or malformed"
+            text.contains("drain: 12 lanes, 2.500 ms"),
+            "drain line missing or malformed"
         );
         assert!(
             !text.contains("session:"),

@@ -56,15 +56,12 @@ pub struct EgressStats {
     pub pool_misses: u64,
     /// Vectored-write batches (syscalls) issued while draining egress.
     pub writev_batches: u64,
-    /// Tasks the transport's drain pool executed (zero for transports
-    /// without one).
-    pub exec_tasks: u64,
-    /// Drain-pool tasks taken from a queue the taker does not own.
-    pub exec_steals: u64,
-    /// Summed wall-clock nanoseconds drain-pool lanes spent in tasks.
-    pub exec_busy_nanos: u64,
-    /// High-water mark of tasks queued on the drain pool.
-    pub exec_queue_hwm: u64,
+    /// Client lanes drained to sockets, summed over every batch (zero for
+    /// transports without sockets).
+    pub drain_lanes: u64,
+    /// Wall-clock nanoseconds spent in the socket drain phase, timed once
+    /// per batch.
+    pub drain_nanos: u64,
     /// Pooled encode buffers currently checked out (a non-zero value after
     /// a drained shutdown is a leak).
     pub pool_outstanding: u64,

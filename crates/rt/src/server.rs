@@ -3,7 +3,7 @@
 //! Hosts any [`ServerNode`] engine — the exact state machines the
 //! simulator drives — over real sockets. The socket machinery lives here
 //! (accept + hello handshake, one reader thread per client feeding a
-//! channel, framed parallel fan-out back to the clients), packaged as a
+//! channel, framed fan-out back to the clients), packaged as a
 //! [`TcpServerTransport`]; the engine loop itself — wall-clock tick (τ)
 //! and push (ω·RTT) timers interleaved with message dispatch — is the
 //! driver layer's [`NodeDriver::run_server`], shared with the in-process
@@ -28,7 +28,7 @@ use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 pub use seve_driver::ServerReport;
 
@@ -99,16 +99,24 @@ pub struct TcpServerTransport<U, D> {
     /// Recycled encode buffers: after warm-up, every frame encodes into a
     /// buffer from a previous batch instead of a fresh allocation.
     pool: BufferPool,
-    /// Persistent pool draining egress lanes. Drain tasks block in socket
-    /// `write`, so a lane stalled on a slow client occupies one pool lane,
-    /// never the engine thread. Sized by [`drain_workers`] (at least 4
-    /// even on one core — these lanes wait on I/O, not CPU).
-    drain_pool: seve_exec::Executor,
-    writev_batches: u64,
+    /// Wire-path counters summed over every [`fan_out`] so far.
+    drained: FanOut,
     _down: PhantomData<D>,
 }
 
-impl<U, D: Serialize + ShareKey + Sync> ServerTransport<U, D> for TcpServerTransport<U, D> {
+impl<U, D> TcpServerTransport<U, D> {
+    fn new(rx: Receiver<Inbound<U>>, writers: SharedWriters) -> Self {
+        TcpServerTransport {
+            rx,
+            writers,
+            pool: BufferPool::new(),
+            drained: FanOut::default(),
+            _down: PhantomData,
+        }
+    }
+}
+
+impl<U, D: Serialize + ShareKey> ServerTransport<U, D> for TcpServerTransport<U, D> {
     type Error = FrameError;
 
     fn recv(&mut self, timeout: Duration) -> Result<ServerEvent<U>, FrameError> {
@@ -123,15 +131,11 @@ impl<U, D: Serialize + ShareKey + Sync> ServerTransport<U, D> for TcpServerTrans
 
     fn send_batch(&mut self, out: &[(ClientId, D)]) -> Result<u64, FrameError> {
         let mut writers = self.writers.lock().expect("writer seats");
-        let (bytes, batches) = fan_out(
-            &mut writers,
-            out,
-            D::share_key,
-            &mut self.pool,
-            &self.drain_pool,
-        )?;
-        self.writev_batches += batches;
-        Ok(bytes)
+        let f = fan_out(&mut writers, out, D::share_key, &mut self.pool)?;
+        self.drained.writev_batches += f.writev_batches;
+        self.drained.lanes += f.lanes;
+        self.drained.drain_nanos += f.drain_nanos;
+        Ok(f.bytes)
     }
 
     fn stop_all(&mut self) -> Result<(), FrameError> {
@@ -156,16 +160,13 @@ impl<U, D: Serialize + ShareKey + Sync> ServerTransport<U, D> for TcpServerTrans
     }
 
     fn egress_stats(&self) -> EgressStats {
-        let exec = self.drain_pool.stats();
         EgressStats {
             pool_hits: self.pool.hits(),
             pool_misses: self.pool.misses(),
-            writev_batches: self.writev_batches,
+            writev_batches: self.drained.writev_batches,
             pool_outstanding: self.pool.outstanding(),
-            exec_tasks: exec.tasks,
-            exec_steals: exec.steals,
-            exec_busy_nanos: exec.busy_nanos,
-            exec_queue_hwm: exec.queue_hwm,
+            drain_lanes: self.drained.lanes,
+            drain_nanos: self.drained.drain_nanos,
             ..EgressStats::default()
         }
     }
@@ -393,7 +394,7 @@ where
     W: GameWorld,
     S: ServerNode<W>,
     S::Up: DeserializeOwned + Send + 'static,
-    S::Down: Serialize + ShareKey + Sync + Clone,
+    S::Down: Serialize + ShareKey + Clone,
 {
     run_server_with(
         engine,
@@ -428,7 +429,7 @@ where
     W: GameWorld,
     S: ServerNode<W>,
     S::Up: DeserializeOwned + Send + 'static,
-    S::Down: Serialize + ShareKey + Sync + Clone,
+    S::Down: Serialize + ShareKey + Clone,
 {
     let tick_driver = NodeDriver::server(tick, push);
     if session.supervised {
@@ -440,14 +441,7 @@ where
         );
         let acceptor = spawn_acceptor(listener, n, world_digest, Some(tokens), tx.clone())?;
         wait_for_full_house(&acceptor.writers);
-        let inner = TcpServerTransport {
-            rx,
-            writers: Arc::clone(&acceptor.writers),
-            pool: BufferPool::new(),
-            drain_pool: seve_exec::Executor::new(drain_workers()),
-            writev_batches: 0,
-            _down: PhantomData,
-        };
+        let inner = TcpServerTransport::new(rx, Arc::clone(&acceptor.writers));
         let mut transport = SupervisedServerTransport::new(inner, n, session);
         let report = tick_driver.run_server(engine, &mut transport, n);
         drop(transport);
@@ -458,14 +452,7 @@ where
         let (tx, rx) = mpsc::channel::<Inbound<S::Up>>();
         let acceptor = spawn_acceptor(listener, n, world_digest, None, tx.clone())?;
         wait_for_full_house(&acceptor.writers);
-        let mut transport = TcpServerTransport {
-            rx,
-            writers: Arc::clone(&acceptor.writers),
-            pool: BufferPool::new(),
-            drain_pool: seve_exec::Executor::new(drain_workers()),
-            writev_batches: 0,
-            _down: PhantomData,
-        };
+        let mut transport = TcpServerTransport::new(rx, Arc::clone(&acceptor.writers));
         let report = tick_driver.run_server(engine, &mut transport, n);
         drop(transport);
         drop(tx);
@@ -478,22 +465,6 @@ where
 /// call. Past this the syscall savings are already banked and the iovec
 /// itself starts costing.
 const WRITEV_MAX_FRAMES: usize = 64;
-
-/// Width of the persistent drain pool: a few lanes per core covers
-/// sockets blocked in `write`, floored at 4 so stall isolation holds even
-/// on a single-core host (drain lanes wait on I/O, not CPU).
-fn drain_workers() -> usize {
-    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *WORKERS.get_or_init(|| {
-        std::thread::available_parallelism().map_or(4, |p| (p.get() * 2).clamp(4, 16))
-    })
-}
-
-/// One drain worker's unit of work on the persistent pool: pulls whole
-/// lanes from the shared queue and returns `(bytes written, writev
-/// batches, dead lane indices)` or the first *non-disconnect* socket
-/// error it hit.
-type DrainTask<'a> = Box<dyn FnOnce() -> Result<(u64, u64, Vec<usize>), FrameError> + Send + 'a>;
 
 /// Is this write error the peer being gone (as opposed to a local fault)?
 /// A vanished peer is a liveness event for the supervision layer, not a
@@ -510,8 +481,20 @@ fn is_disconnect(e: &io::Error) -> bool {
     )
 }
 
-/// Write one engine step's outbound batch to the client sockets, returning
-/// `(bytes written, vectored-write batches issued)`.
+/// What one [`fan_out`] call put on the wire.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FanOut {
+    /// Bytes written across every lane.
+    pub bytes: u64,
+    /// Vectored-write batches (syscalls) issued.
+    pub writev_batches: u64,
+    /// Client lanes that had frames to drain.
+    pub lanes: u64,
+    /// Wall-clock nanoseconds spent in the drain phase.
+    pub drain_nanos: u64,
+}
+
+/// Write one engine step's outbound batch to the client sockets.
 ///
 /// The encode-once egress stage of the real-time host, in two phases:
 ///
@@ -520,193 +503,122 @@ fn is_disconnect(e: &io::Error) -> bool {
 ///    [`crate::frame::encode_frame_into`]). Messages whose `share_key`
 ///    matches an earlier message in the same batch — broadcast payloads
 ///    like GC notices and shared-span batches — reuse the earlier frame
-///    (`Arc` clone) instead of re-encoding; `share_key` returning `None`
+///    (its index) instead of re-encoding; `share_key` returning `None`
 ///    always encodes individually. Frame boundaries on the wire are one
 ///    frame per message, identical to the per-message `write_msg` path.
-/// 2. **Drain.** Each busy destination's ordered frame list is written by
-///    exactly one worker through `write_vectored` in chunks of up to
-///    [`WRITEV_MAX_FRAMES`] frames. Worker tasks — capped at the drain
-///    pool's width, not one per client — run on `exec`, the transport's
-///    *persistent* drain pool (zero thread spawns per cycle), and pull
-///    whole lanes from a shared queue, while a destination stalled in
-///    `write` occupies only its task's lane and the rest keep draining.
-///    One lane never splits across workers and successive `fan_out`
-///    calls are sequential, so per-client FIFO delivery (the ordering
-///    contract the replay log depends on) is preserved.
+/// 2. **Drain.** Each busy destination's ordered frame list is written on
+///    the calling thread, in client-index order, through `write_vectored`
+///    in chunks of up to [`WRITEV_MAX_FRAMES`] frames. Successive
+///    `fan_out` calls are sequential, so per-client FIFO delivery (the
+///    ordering contract the replay log depends on) is preserved. A
+///    destination that stops reading blocks the call in its `write`, and
+///    with it every later lane, until it reads again.
 ///
-/// Afterwards every frame buffer whose references have drained returns to
-/// `pool`, so the steady state allocates nothing.
-pub fn fan_out<M: Serialize + Sync>(
+/// Afterwards every frame buffer returns to `pool`, so the steady state
+/// allocates nothing.
+pub fn fan_out<M: Serialize>(
     writers: &mut [Option<TcpStream>],
     out: &[(ClientId, M)],
     share_key: impl Fn(&M) -> Option<ShareId>,
     pool: &mut BufferPool,
-    exec: &seve_exec::Executor,
-) -> Result<(u64, u64), FrameError> {
-    let mut frames: Vec<Arc<Vec<u8>>> = Vec::with_capacity(out.len());
-    let mut lanes: Vec<Vec<Arc<Vec<u8>>>> = (0..writers.len()).map(|_| Vec::new()).collect();
-    let result = encode_and_drain(writers, out, share_key, pool, exec, &mut frames, &mut lanes);
-
+) -> Result<FanOut, FrameError> {
+    let mut frames: Vec<Vec<u8>> = Vec::with_capacity(out.len());
+    let result = encode_and_drain(writers, out, share_key, pool, &mut frames);
     // Recycle unconditionally — also when encode or drain bailed early —
     // so buffers taken this batch are never leaked and the pool's miss
-    // counter stays truthful on the next one. The lane lists are done, so
-    // each buffer is back to a single reference.
-    drop(lanes);
-    for f in frames {
-        if let Ok(buf) = Arc::try_unwrap(f) {
-            pool.put(buf);
-        }
+    // counter stays truthful on the next one.
+    for buf in frames {
+        pool.put(buf);
     }
     result
 }
 
-/// [`fan_out`]'s encode + drain phases, with the frame/lane lists owned by
-/// the caller so it can recycle them on both the `Ok` and `Err` paths.
-fn encode_and_drain<M: Serialize + Sync>(
+/// [`fan_out`]'s encode + drain phases, with the frame list owned by the
+/// caller so it can recycle it on both the `Ok` and `Err` paths.
+fn encode_and_drain<M: Serialize>(
     writers: &mut [Option<TcpStream>],
     out: &[(ClientId, M)],
     share_key: impl Fn(&M) -> Option<ShareId>,
     pool: &mut BufferPool,
-    exec: &seve_exec::Executor,
-    frames: &mut Vec<Arc<Vec<u8>>>,
-    lanes: &mut [Vec<Arc<Vec<u8>>>],
-) -> Result<(u64, u64), FrameError> {
-    // Phase 1: encode each distinct frame once; build per-lane frame lists
-    // (order preserved within each lane).
-    {
-        // The cache lives only for this batch: the Arcs in `frames` keep
-        // the pointed-to buffers alive, so a ShareId can never alias a
-        // recycled frame within the batch.
-        let mut cache: HashMap<ShareId, Arc<Vec<u8>>> = HashMap::new();
-        let encode = |msg: &M, pool: &mut BufferPool| -> Result<Arc<Vec<u8>>, FrameError> {
-            let mut buf = pool.take();
-            match encode_frame_into(&RtDownMsgRef(msg), &mut buf) {
-                Ok(()) => Ok(Arc::new(buf)),
-                Err(e) => {
-                    // Hand the partially-written buffer straight back so a
-                    // failed encode doesn't count as a leaked allocation.
-                    pool.put(buf);
-                    Err(e)
-                }
-            }
-        };
-        for (dest, msg) in out {
-            if writers[dest.index()].is_none() {
-                continue;
-            }
-            let frame = match share_key(msg) {
-                Some(k) => match cache.entry(k) {
-                    Entry::Occupied(e) => e.get().clone(),
-                    Entry::Vacant(v) => {
-                        let f = encode(msg, pool)?;
-                        frames.push(Arc::clone(&f));
-                        v.insert(Arc::clone(&f));
-                        f
-                    }
-                },
-                None => {
-                    let f = encode(msg, pool)?;
-                    frames.push(Arc::clone(&f));
-                    f
-                }
-            };
-            lanes[dest.index()].push(frame);
+    frames: &mut Vec<Vec<u8>>,
+) -> Result<FanOut, FrameError> {
+    // Phase 1: encode each distinct frame once; build per-lane lists of
+    // frame indices (order preserved within each lane).
+    let mut lanes: Vec<Vec<usize>> = (0..writers.len()).map(|_| Vec::new()).collect();
+    let mut cache: HashMap<ShareId, usize> = HashMap::new();
+    for (dest, msg) in out {
+        if writers[dest.index()].is_none() {
+            continue;
         }
+        let mut encode = || -> Result<usize, FrameError> {
+            let mut buf = pool.take();
+            if let Err(e) = encode_frame_into(&RtDownMsgRef(msg), &mut buf) {
+                // Hand the partially-written buffer straight back so a
+                // failed encode doesn't count as a leaked allocation.
+                pool.put(buf);
+                return Err(e);
+            }
+            frames.push(buf);
+            Ok(frames.len() - 1)
+        };
+        let frame = match share_key(msg) {
+            Some(k) => match cache.entry(k) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(v) => *v.insert(encode()?),
+            },
+            None => encode()?,
+        };
+        lanes[dest.index()].push(frame);
     }
 
-    // Phase 2: drain each busy lane. The writer slice is partitioned into
-    // disjoint `&mut` sockets, so workers cannot interleave on a stream.
-    // A lane whose peer vanished mid-write is unseated (its writer taken
-    // and shut down), never fatal: the supervised layer still holds the
-    // frames in its resend window and will retransmit once the client
-    // resumes — or reap the lane at the liveness deadline.
-    let busy = lanes.iter().filter(|l| !l.is_empty()).count();
-    let mut totals = (0u64, 0u64);
-    let mut dead: Vec<usize> = Vec::new();
-    if busy <= 1 {
-        // Nothing to overlap: drain inline on this thread.
-        for (i, (w, lane)) in writers.iter_mut().zip(lanes.iter()).enumerate() {
-            if let (Some(sock), false) = (w.as_mut(), lane.is_empty()) {
-                let (b, k, down) = drain_lane(sock, lane)?;
-                totals = (totals.0 + b, totals.1 + k);
-                if down {
-                    dead.push(i);
-                }
+    // Phase 2: drain each busy lane. A lane whose peer vanished mid-write
+    // is unseated (its writer taken and shut down), never fatal: the
+    // supervised layer still holds the frames in its resend window and
+    // will retransmit once the client resumes — or reap the lane at the
+    // liveness deadline.
+    let started = Instant::now();
+    let mut stats = FanOut::default();
+    for (w, lane) in writers.iter_mut().zip(&lanes) {
+        let Some(sock) = w.as_mut().filter(|_| !lane.is_empty()) else {
+            continue;
+        };
+        let (bytes, batches, gone) = drain_lane(sock, frames, lane)?;
+        stats.bytes += bytes;
+        stats.writev_batches += batches;
+        stats.lanes += 1;
+        if gone {
+            if let Some(s) = w.take() {
+                let _ = s.shutdown(Shutdown::Both);
             }
         }
-    } else {
-        type LaneRef<'a> = (usize, &'a mut TcpStream, &'a [Arc<Vec<u8>>]);
-        let lane_refs: Vec<LaneRef<'_>> = writers
-            .iter_mut()
-            .zip(lanes.iter())
-            .enumerate()
-            .filter_map(|(i, (w, l))| match w {
-                Some(w) if !l.is_empty() => Some((i, w, l.as_slice())),
-                _ => None,
-            })
-            .collect();
-        let workers = lane_refs.len().min(exec.width());
-        let queue = std::sync::Mutex::new(lane_refs);
-        let tasks: Vec<DrainTask<'_>> = (0..workers)
-            .map(|_| {
-                let queue = &queue;
-                let task: DrainTask<'_> = Box::new(move || {
-                    let mut totals = (0u64, 0u64, Vec::new());
-                    loop {
-                        // Pop into a local first: a `while let` scrutinee
-                        // would keep the MutexGuard alive across the
-                        // blocking drain below, serializing all workers.
-                        let job = queue.lock().expect("lane queue").pop();
-                        let Some((i, w, lane)) = job else { break };
-                        let (b, k, down) = drain_lane(w, lane)?;
-                        totals.0 += b;
-                        totals.1 += k;
-                        if down {
-                            totals.2.push(i);
-                        }
-                    }
-                    Ok(totals)
-                });
-                task
-            })
-            .collect();
-        let results = exec.run(tasks).expect("fan-out worker panicked");
-        for r in results {
-            let (b, k, mut down) = r?;
-            totals.0 += b;
-            totals.1 += k;
-            dead.append(&mut down);
-        }
     }
-    for i in dead {
-        if let Some(s) = writers[i].take() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-    }
-    Ok(totals)
+    stats.drain_nanos = started.elapsed().as_nanos() as u64;
+    Ok(stats)
 }
 
-/// Drain one client's ordered frame list through vectored writes, chunked
-/// at [`WRITEV_MAX_FRAMES`]; partial writes re-slice from the first
-/// unwritten byte. Returns `(bytes written, write batches issued, peer
-/// gone)` — a disconnect ends the lane quietly (see [`is_disconnect`]);
-/// only local faults surface as errors.
-fn drain_lane(w: &mut TcpStream, frames: &[Arc<Vec<u8>>]) -> Result<(u64, u64, bool), FrameError> {
+/// Drain one client's ordered lane (indices into `frames`) through
+/// vectored writes, chunked at [`WRITEV_MAX_FRAMES`]; partial writes
+/// re-slice from the first unwritten byte. Returns `(bytes written, write
+/// batches issued, peer gone)` — a disconnect ends the lane quietly (see
+/// [`is_disconnect`]); only local faults surface as errors.
+fn drain_lane(
+    w: &mut TcpStream,
+    frames: &[Vec<u8>],
+    lane: &[usize],
+) -> Result<(u64, u64, bool), FrameError> {
     let mut bytes = 0u64;
     let mut batches = 0u64;
-    let mut chunk_start = 0usize;
-    let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(frames.len().min(WRITEV_MAX_FRAMES));
-    while chunk_start < frames.len() {
-        let chunk = &frames[chunk_start..(chunk_start + WRITEV_MAX_FRAMES).min(frames.len())];
-        let total: usize = chunk.iter().map(|f| f.len()).sum();
-        // (frame index, byte offset) of the first unwritten byte.
+    let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(lane.len().min(WRITEV_MAX_FRAMES));
+    for chunk in lane.chunks(WRITEV_MAX_FRAMES) {
+        let total: usize = chunk.iter().map(|&f| frames[f].len()).sum();
+        // (chunk position, byte offset) of the first unwritten byte.
         let mut at = (0usize, 0usize);
         let mut written = 0usize;
         while written < total {
             slices.clear();
-            slices.push(IoSlice::new(&chunk[at.0][at.1..]));
-            for f in &chunk[at.0 + 1..] {
-                slices.push(IoSlice::new(f));
+            slices.push(IoSlice::new(&frames[chunk[at.0]][at.1..]));
+            for &f in &chunk[at.0 + 1..] {
+                slices.push(IoSlice::new(&frames[f]));
             }
             let n = match w.write_vectored(&slices) {
                 Ok(0) => return Ok((bytes, batches, true)),
@@ -716,10 +628,10 @@ fn drain_lane(w: &mut TcpStream, frames: &[Arc<Vec<u8>>]) -> Result<(u64, u64, b
             };
             batches += 1;
             written += n;
-            // Advance (frame, offset) past the bytes just written.
+            // Advance (position, offset) past the bytes just written.
             let mut rem = n;
             while rem > 0 {
-                let avail = chunk[at.0].len() - at.1;
+                let avail = frames[chunk[at.0]].len() - at.1;
                 if rem >= avail {
                     rem -= avail;
                     at = (at.0 + 1, 0);
@@ -730,7 +642,6 @@ fn drain_lane(w: &mut TcpStream, frames: &[Arc<Vec<u8>>]) -> Result<(u64, u64, b
             }
         }
         bytes += total as u64;
-        chunk_start += chunk.len();
     }
     match w.flush() {
         Ok(()) => Ok((bytes, batches, false)),

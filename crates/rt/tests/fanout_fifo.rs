@@ -1,11 +1,12 @@
-//! Per-client FIFO delivery under the threaded egress fan-out.
+//! Per-client FIFO delivery under the egress fan-out.
 //!
 //! The replay contract requires that each client observe its messages in
-//! the order the server emitted them. `fan_out` writes different clients'
-//! messages from parallel scoped workers, so this test hammers it with
-//! interleaved multi-client batches over real loopback sockets and asserts
-//! that every client reads its own stream back in exact emission order —
-//! and that nothing is lost, duplicated, or cross-delivered.
+//! the order the server emitted them. `fan_out` regroups each batch into
+//! per-client lanes and drains them one after another, so these tests
+//! hammer it with interleaved multi-client batches over real loopback
+//! sockets and assert that every client reads its own stream back in exact
+//! emission order — and that nothing is lost, duplicated, or
+//! cross-delivered, also when a client stalls or vanishes.
 
 use seve_core::engine::ShareId;
 use seve_rt::frame::FrameReader;
@@ -13,6 +14,7 @@ use seve_rt::server::{fan_out, RtDown};
 use seve_rt::wire::BufferPool;
 use seve_world::ids::ClientId;
 use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
 const CLIENTS: usize = 4;
 const FLUSHES: u32 = 16;
@@ -54,12 +56,11 @@ fn fan_out_preserves_per_client_fifo_order() {
     }
 
     // Emit interleaved batches: every flush carries messages for all
-    // clients, round-robin, so the parallel workers race each other while
-    // each client's sequence numbers strictly ascend across flushes.
+    // clients, round-robin, while each client's sequence numbers strictly
+    // ascend across flushes.
     let mut seqs = [0u32; CLIENTS];
     let mut total_bytes = 0u64;
     let mut pool = BufferPool::new();
-    let exec = seve_exec::Executor::new(4);
     for _ in 0..FLUSHES {
         let mut out: Vec<(ClientId, u64)> = Vec::new();
         for round in 0..PER_CLIENT_PER_FLUSH {
@@ -70,9 +71,9 @@ fn fan_out_preserves_per_client_fifo_order() {
                 seqs[c as usize] += 1;
             }
         }
-        let (bytes, _batches) =
-            fan_out(&mut writers, &out, |_| None, &mut pool, &exec).expect("fan out");
-        total_bytes += bytes;
+        let f = fan_out(&mut writers, &out, |_| None, &mut pool).expect("fan out");
+        assert_eq!(f.lanes, CLIENTS as u64, "every client has a busy lane");
+        total_bytes += f.bytes;
     }
     assert!(total_bytes > 0);
     // Frame buffers recycle across flushes: after warm-up every encode is
@@ -99,8 +100,8 @@ fn fan_out_preserves_per_client_fifo_order() {
 
 #[test]
 fn fan_out_single_destination_stays_sequential_and_ordered() {
-    // The ≤1-destination fast path (the common solicited-reply case) must
-    // behave identically.
+    // One busy lane among empty and unseated ones (the common
+    // solicited-reply case) must keep its order too.
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().unwrap();
     let client = TcpStream::connect(addr).expect("connect");
@@ -109,8 +110,8 @@ fn fan_out_single_destination_stays_sequential_and_ordered() {
 
     let out: Vec<(ClientId, u64)> = (0..32u64).map(|i| (ClientId(0), i)).collect();
     let mut pool = BufferPool::new();
-    let exec = seve_exec::Executor::new(4);
-    fan_out(&mut writers, &out, |_| None, &mut pool, &exec).expect("fan out");
+    let f = fan_out(&mut writers, &out, |_| None, &mut pool).expect("fan out");
+    assert_eq!(f.lanes, 1);
     drop(writers);
 
     let mut reader = FrameReader::new(client);
@@ -122,73 +123,138 @@ fn fan_out_single_destination_stays_sequential_and_ordered() {
     }
 }
 
-#[test]
-fn stalled_destination_does_not_block_other_lanes() {
-    // The drain queue's mutex must be released before a worker blocks in
-    // `write`: one destination that stops reading may occupy only its own
-    // worker while every other lane keeps draining. We stall client 2 by
-    // not reading it and shipping it far more bytes than loopback socket
-    // buffering absorbs, then require clients 0 and 1 to complete while
-    // the stalled write is still in flight.
-    const STALL_FRAMES: usize = 8;
-    const STALL_FRAME_BYTES: usize = 4 * 1024 * 1024;
-
+/// Connect `n` loopback clients; returns (client ends, server writer
+/// slots) in connection order.
+fn connect(n: usize) -> (Vec<TcpStream>, Vec<Option<TcpStream>>) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
     let addr = listener.local_addr().unwrap();
-    let mut clients = Vec::new();
-    for _ in 0..3 {
-        clients.push(TcpStream::connect(addr).expect("connect"));
-    }
-    let mut writers: Vec<Option<TcpStream>> = Vec::new();
-    for _ in 0..3 {
-        let (stream, _) = listener.accept().expect("accept");
-        writers.push(Some(stream));
-    }
+    let clients: Vec<TcpStream> = (0..n)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    let writers = (0..n)
+        .map(|_| Some(listener.accept().expect("accept").0))
+        .collect();
+    (clients, writers)
+}
 
-    let mut out: Vec<(ClientId, Vec<u8>)> =
-        vec![(ClientId(0), vec![0xAA; 64]), (ClientId(1), vec![0xBB; 64])];
+/// Read `count` frames from `stream` and check each payload.
+fn expect_frames(stream: TcpStream, count: usize, check: impl Fn(usize, &[u8])) {
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    let mut reader = FrameReader::new(stream);
+    for i in 0..count {
+        match reader.read_msg::<RtDown<Vec<u8>>>().expect("read frame") {
+            RtDown::Msg(v) => check(i, &v),
+            RtDown::Stop => panic!("unexpected stop"),
+        }
+    }
+}
+
+#[test]
+fn stalled_destination_delays_later_lanes_until_it_reads() {
+    // Lanes drain on the calling thread in client-index order, so a
+    // client that stops reading holds up every higher-index lane and the
+    // caller until it reads again. We stall client 0 by not reading it and
+    // shipping it far more bytes than loopback socket buffering absorbs,
+    // then require that clients 1 and 2 see nothing and `fan_out` has not
+    // returned; once client 0 drains, every client must hold all of its
+    // frames in emission order.
+    const STALL_FRAMES: usize = 8;
+    const STALL_FRAME_BYTES: usize = 4 * 1024 * 1024;
+    const SMALL_FRAMES: u8 = 3;
+
+    let (mut clients, mut writers) = connect(3);
+    let mut out: Vec<(ClientId, Vec<u8>)> = Vec::new();
     for _ in 0..STALL_FRAMES {
-        out.push((ClientId(2), vec![0xCC; STALL_FRAME_BYTES]));
+        out.push((ClientId(0), vec![0xCC; STALL_FRAME_BYTES]));
+    }
+    for seq in 0..SMALL_FRAMES {
+        out.push((ClientId(1), vec![0x10 + seq; 64]));
+        out.push((ClientId(2), vec![0x20 + seq; 64]));
     }
 
     let writer = std::thread::spawn(move || {
         let mut pool = BufferPool::new();
-        // The PR-8 stall-isolation guarantee must hold on the persistent
-        // shared pool exactly as it did with per-cycle spawned workers: a
-        // pool of ≥3 lanes gives every lane below its own drain task.
-        let exec = seve_exec::Executor::new(4);
-        let r = fan_out(&mut writers, &out, |_| None, &mut pool, &exec).expect("fan out");
-        drop(writers);
-        r
+        let f = fan_out(&mut writers, &out, |_| None, &mut pool).expect("fan out");
+        assert!(writers.iter().all(Option::is_some), "no lane unseated");
+        f
     });
 
-    // If a worker still held the queue lock across its blocking write,
-    // these reads would starve; the timeout turns that hang into a loud
-    // failure instead.
-    for (c, byte) in [(0usize, 0xAAu8), (1, 0xBB)] {
-        clients[c]
-            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+    // While client 0 is stalled, nothing reaches the later lanes.
+    for c in &clients[1..] {
+        c.set_read_timeout(Some(Duration::from_millis(300)))
             .expect("set timeout");
-        let mut reader = FrameReader::new(clients[c].try_clone().expect("clone"));
-        match reader.read_msg::<RtDown<Vec<u8>>>().expect("read frame") {
-            RtDown::Msg(v) => assert_eq!(v, vec![byte; 64], "client {c} payload"),
-            RtDown::Stop => panic!("unexpected stop"),
-        }
+        let err = c.peek(&mut [0u8; 1]).expect_err("later lane written early");
+        assert!(
+            matches!(
+                err.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "unexpected peek error {err}"
+        );
     }
+    assert!(
+        !writer.is_finished(),
+        "fan_out returned past a stalled lane"
+    );
 
-    // Only now unstall client 2 and let the fan-out finish.
-    let mut reader = FrameReader::new(clients.pop().unwrap());
-    for _ in 0..STALL_FRAMES {
-        match reader
-            .read_msg::<RtDown<Vec<u8>>>()
-            .expect("read stalled frame")
-        {
-            RtDown::Msg(v) => assert_eq!(v.len(), STALL_FRAME_BYTES),
-            RtDown::Stop => panic!("unexpected stop"),
-        }
+    // Unstall client 0; the fan-out finishes and the later lanes follow.
+    let late: Vec<TcpStream> = clients.drain(1..).collect();
+    expect_frames(clients.pop().unwrap(), STALL_FRAMES, |_, v| {
+        assert_eq!(v.len(), STALL_FRAME_BYTES)
+    });
+    let f = writer.join().expect("fan-out thread");
+    assert_eq!(f.lanes, 3);
+    assert!(f.bytes as usize > STALL_FRAMES * STALL_FRAME_BYTES);
+    for (tag, stream) in [0x10u8, 0x20].into_iter().zip(late) {
+        expect_frames(stream, SMALL_FRAMES.into(), |i, v| {
+            assert_eq!(v, vec![tag + i as u8; 64], "frame {i} lost or reordered")
+        });
     }
-    let (bytes, _batches) = writer.join().expect("fan-out thread");
-    assert!(bytes as usize > STALL_FRAMES * STALL_FRAME_BYTES);
+}
+
+#[test]
+fn vanished_peer_is_unseated_without_error() {
+    // A client whose socket is closed is a liveness event, not a transport
+    // fault: its lane is unseated, `fan_out` returns `Ok`, and the other
+    // lanes still drain in full.
+    const DEAD_FRAMES: usize = 16;
+    const DEAD_FRAME_BYTES: usize = 1024 * 1024;
+    const LIVE_FRAMES: u8 = 4;
+
+    let (mut clients, mut writers) = connect(2);
+    drop(clients.remove(0));
+    // Wait for the close to reach the server end, so the writes below
+    // meet a peer that is already gone.
+    let mut probe = writers[0].as_ref().unwrap().try_clone().expect("clone");
+    probe
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    assert_eq!(
+        std::io::Read::read(&mut probe, &mut [0u8; 1]).expect("read EOF"),
+        0
+    );
+    drop(probe);
+
+    let mut out: Vec<(ClientId, Vec<u8>)> = Vec::new();
+    for seq in 0..LIVE_FRAMES {
+        out.push((ClientId(0), vec![0xDD; DEAD_FRAME_BYTES]));
+        out.push((ClientId(1), vec![seq; 64]));
+    }
+    for _ in LIVE_FRAMES as usize..DEAD_FRAMES {
+        out.push((ClientId(0), vec![0xDD; DEAD_FRAME_BYTES]));
+    }
+    let mut pool = BufferPool::new();
+    let f = fan_out(&mut writers, &out, |_| None, &mut pool).expect("disconnect is not an error");
+    assert!(writers[0].is_none(), "dead lane still seated");
+    assert!(writers[1].is_some(), "live lane unseated");
+    assert_eq!(f.lanes, 2);
+    assert_eq!(pool.outstanding(), 0, "frame buffers recycled");
+
+    expect_frames(clients.pop().unwrap(), LIVE_FRAMES.into(), |i, v| {
+        assert_eq!(v, vec![i as u8; 64], "frame {i} lost or reordered")
+    });
 }
 
 #[test]
@@ -220,15 +286,7 @@ fn shared_payloads_encode_once_and_reach_every_client() {
         .map(|c| (ClientId(c), 0xFEED_u64))
         .collect();
     let mut pool = BufferPool::new();
-    let exec = seve_exec::Executor::new(4);
-    fan_out(
-        &mut writers,
-        &out,
-        |_| Some(ShareId::Gc(7)),
-        &mut pool,
-        &exec,
-    )
-    .expect("fan out");
+    fan_out(&mut writers, &out, |_| Some(ShareId::Gc(7)), &mut pool).expect("fan out");
     drop(writers);
 
     // One encode for the whole broadcast: exactly one buffer was drawn
